@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LatticeParams, reduced_coeffs
+from .model import LatticeParams, coeff_arrays, reduced_coeffs
 
 __all__ = [
     "DegeneratePointError",
@@ -33,6 +33,8 @@ __all__ = [
     "GapExtremum",
     "band_energies",
     "gap",
+    "gap_array",
+    "basis_arrays",
     "hybrid_basis",
     "band_scan",
     "gap_extrema",
@@ -42,6 +44,10 @@ __all__ = [
 
 class DegeneratePointError(ValueError):
     """The two bands touch (g = 0 and delta = 0): no preferred eigenbasis."""
+
+    @classmethod
+    def at(cls, kd: float) -> DegeneratePointError:
+        return cls(f"bands are degenerate at kd={kd!r} (g = 0 and delta = 0)")
 
 
 @dataclass(frozen=True)
@@ -83,66 +89,66 @@ class GapExtremum:
     kind: str | None
 
 
+def gap_array(p: LatticeParams, kd: np.ndarray) -> np.ndarray:
+    """Direct gap ``2 sqrt(g^2 + delta^2)`` elementwise over ``kd``."""
+    return 2.0 * np.hypot(p.g, coeff_arrays(p, kd)[2])
+
+
+def basis_arrays(g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Half-splitting and eigenvector amplitudes, elementwise over ``g, delta``.
+
+    Returns ``(r, u_A, v_A, u_B, v_B)`` with ``r = sqrt(g^2 + delta^2)``.
+    The amplitudes are evaluated from whichever of the two algebraically
+    equivalent forms of ``delta +- r`` is addition of same-sign
+    quantities, so the weights stay accurate down to ``alpha ~ eps``
+    instead of losing half the digits near the band edges.  ``g = 0`` is
+    the exact decoupled limit; where also ``delta = 0`` (degenerate
+    bands) the amplitudes are NaN.
+    """
+    shape = np.broadcast_shapes(np.shape(g), np.shape(delta))
+    g, d = np.broadcast_arrays(np.atleast_1d(g), np.atleast_1d(delta))
+    r = np.hypot(g, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dp = np.where(d >= 0.0, d + r, (g * g) / (r - d))  # = delta + r
+        dm = np.where(d <= 0.0, d - r, -(g * g) / (r + d))  # = delta - r
+        n_plus = np.hypot(g, dp)
+        n_minus = np.hypot(g, dm)
+        amps = [-g / n_plus, dp / n_plus, -g / n_minus, dm / n_minus]
+    decoupled = g == 0.0
+    if decoupled.any():  # the upper band is whichever bare mode lies higher
+        up = d[decoupled] > 0.0
+        for a, hi, lo in zip(amps, (0.0, 1.0, -1.0, 0.0), (-1.0, 0.0, 0.0, -1.0)):
+            a[decoupled] = np.where(up, hi, lo)
+            a[r == 0.0] = math.nan
+    return tuple(x.reshape(shape) for x in (r, *amps))
+
+
 def band_energies(p: LatticeParams, kd: float) -> tuple[float, float]:
     """Return ``(omega_plus, omega_minus)`` at quasimomentum ``kd``."""
     rc = reduced_coeffs(p, kd)
     mid = 0.5 * (rc.Omega - rc.xi)
-    r = math.hypot(p.g, rc.delta)
+    r = float(np.hypot(p.g, rc.delta))
     return mid + r, mid - r
 
 
 def gap(p: LatticeParams, kd: float) -> float:
     """Direct gap ``omega_plus - omega_minus = 2 sqrt(g^2 + delta^2)``."""
-    rc = reduced_coeffs(p, kd)
-    return 2.0 * math.hypot(p.g, rc.delta)
+    return 2.0 * float(np.hypot(p.g, reduced_coeffs(p, kd).delta))
 
 
 def hybrid_basis(p: LatticeParams, kd: float) -> HybridBasis:
-    """Diagonalize the Bloch block at ``kd``.
+    """Diagonalize the Bloch block at ``kd`` (see :func:`basis_arrays`).
 
-    The eigenvector amplitudes are evaluated from whichever of the two
-    algebraically equivalent forms of ``delta +- r`` is addition of
-    same-sign quantities, so the weights stay accurate down to
-    ``alpha ~ eps`` instead of losing half the digits near the band
-    edges.  Raises :class:`DegeneratePointError` when ``g = 0`` and
+    Raises :class:`DegeneratePointError` when ``g = 0`` and
     ``delta = 0`` simultaneously.
     """
     rc = reduced_coeffs(p, kd)
-    g = p.g
-    d = rc.delta
-    r = math.hypot(g, d)
+    r, u_A, v_A, u_B, v_B = (float(x) for x in basis_arrays(p.g, rc.delta))
     if r == 0.0:
-        raise DegeneratePointError(
-            f"bands are degenerate at kd={kd!r} (g = 0 and delta = 0)"
-        )
+        raise DegeneratePointError.at(kd)
     mid = 0.5 * (rc.Omega - rc.xi)
-
-    if g == 0.0:
-        # decoupled limit: upper band is whichever bare mode lies higher
-        if d > 0.0:
-            u_A, v_A, u_B, v_B = 0.0, 1.0, -1.0, 0.0
-        else:
-            u_A, v_A, u_B, v_B = -1.0, 0.0, 0.0, -1.0
-    else:
-        dp = d + r if d >= 0.0 else (g * g) / (r - d)  # = delta + r
-        dm = d - r if d <= 0.0 else -(g * g) / (r + d)  # = delta - r
-        n_plus = math.hypot(g, dp)
-        n_minus = math.hypot(g, dm)
-        u_A, v_A = -g / n_plus, dp / n_plus
-        u_B, v_B = -g / n_minus, dm / n_minus
-
-    return HybridBasis(
-        omega_plus=mid + r,
-        omega_minus=mid - r,
-        u_A=u_A,
-        v_A=v_A,
-        u_B=u_B,
-        v_B=v_B,
-        alpha_A=u_A * u_A,
-        beta_A=v_A * v_A,
-        alpha_B=u_B * u_B,
-        beta_B=v_B * v_B,
-    )
+    amps = (u_A, v_A, u_B, v_B)
+    return HybridBasis(mid + r, mid - r, *amps, *(a * a for a in amps))
 
 
 BAND_SCAN_COLUMNS = (
@@ -167,22 +173,11 @@ def band_scan(p: LatticeParams, n_k: int = 512) -> np.ndarray:
     if n_k < 2:
         raise ValueError(f"n_k must be at least 2, got {n_k}")
     kds = np.linspace(-math.pi, math.pi, n_k)
-    out = np.empty((n_k, 8))
-    for i, kd in enumerate(kds):
-        wp, wm = band_energies(p, kd)
-        try:
-            hb = hybrid_basis(p, kd)
-            weights = (hb.alpha_A, hb.beta_A, hb.alpha_B, hb.beta_B)
-        except DegeneratePointError:
-            weights = (math.nan,) * 4
-        out[i] = (kd, wp, wm, wp - wm, *weights)
-    return out
-
-
-def _gap_grid(p: LatticeParams, kds: np.ndarray) -> np.ndarray:
-    Omega = p.omega_m - 2.0 * p.K * np.cos(kds)
-    xi = p.Delta + 2.0 * p.J * np.cos(kds + p.theta)
-    return 2.0 * np.hypot(p.g, 0.5 * (Omega + xi))
+    Omega, xi, delta = coeff_arrays(p, kds)
+    mid = 0.5 * (Omega - xi)
+    r, *amps = basis_arrays(p.g, delta)
+    wp, wm = mid + r, mid - r
+    return np.column_stack([kds, wp, wm, wp - wm, *(a * a for a in amps)])
 
 
 _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -228,7 +223,7 @@ def gap_extrema(
         raise ValueError(f"n_k_coarse must be at least 64, got {n_k_coarse}")
     h = 2.0 * math.pi / n_k_coarse
     xs = -math.pi + h * np.arange(n_k_coarse)
-    vals = _gap_grid(p, xs)
+    vals = gap_array(p, xs)
     vmax = float(vals.max())
     vmin = float(vals.min())
     if vmax - vmin <= 1e-13 * max(1.0, abs(vmax)):
@@ -238,20 +233,13 @@ def gap_extrema(
         return gap(p, x)
 
     found: list[GapExtremum] = []
-    for i in range(n_k_coarse):
-        left = vals[(i - 1) % n_k_coarse]
-        mid = vals[i]
-        right = vals[(i + 1) % n_k_coarse]
-        x = xs[i]
-        if mid < left and mid <= right:
-            loc = _golden_min(f, x - h, x + h, refine_tol)
-            found.append(
-                GapExtremum(kd=_fold_half_open(loc), value=f(loc), kind="minimum")
-            )
-        elif mid > left and mid >= right:
-            loc = _golden_min(lambda y: -f(y), x - h, x + h, refine_tol)
-            found.append(
-                GapExtremum(kd=_fold_half_open(loc), value=f(loc), kind="maximum")
-            )
+    left, right = np.roll(vals, 1), np.roll(vals, -1)  # periodic neighbours
+    for kind, sign, marked in (
+        ("minimum", 1.0, (vals < left) & (vals <= right)),
+        ("maximum", -1.0, (vals > left) & (vals >= right)),
+    ):
+        for x in xs[marked]:
+            loc = _golden_min(lambda y: sign * f(y), x - h, x + h, refine_tol)
+            found.append(GapExtremum(kd=_fold_half_open(loc), value=f(loc), kind=kind))
     found.sort(key=lambda e: e.kd)
     return found

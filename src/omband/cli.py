@@ -20,12 +20,15 @@ Output is byte-deterministic: floats are printed with 17 significant
 digits and nothing time- or host-dependent is emitted.
 
 Exit codes: 0 success, 1 failed verification, 2 bad configuration,
-3 non-convergence, 4 degenerate point, 5 I/O error.
+3 non-convergence, 4 degenerate point, 5 I/O error.  A zero gap under
+``tq_mode`` per-k or global-min leaves the ramp time undefined: a scan
+writes those rows as NaN, a trace exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -35,11 +38,10 @@ import numpy as np
 
 from ._version import __version__
 from .bands import (
+    BAND_SCAN_COLUMNS,
     DegeneratePointError,
     band_scan,
-    gap,
-    gap_extrema,
-    hybrid_basis,
+    gap_array,
 )
 from .meanfield import (
     DriveParams,
@@ -47,7 +49,7 @@ from .meanfield import (
     SingularParameterError,
     solve_meanfield,
 )
-from .model import LatticeParams, reduced_coeffs
+from .model import LatticeParams, coeff_arrays
 from .oracle import (
     CommensurabilityError,
     _rk4_ramp,
@@ -59,11 +61,16 @@ from .quench import (
     QuenchSchedule,
     QuenchTimeRule,
     SingularBathError,
-    magnus_propagator,
+    propagator_array,
     quench_scan,
     quench_trace,
-    thermal_populations,
+    ramp_times,
+    thermal_arrays,
 )
+
+# perfbench/tracer.py rebinds these names in this module; keep them importable.
+from .bands import gap, gap_extrema, hybrid_basis  # noqa: F401
+from .quench import magnus_propagator, thermal_populations  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "OutputTable", "parse_config", "run_command", "emit", "main"]
 
@@ -102,12 +109,9 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "tq_scale": ("float", 1e-4),
     "tq_value": ("float", 1.0),
     "theta_list": ("angles", (0.0, 0.25 * math.pi, 0.5 * math.pi, math.pi)),
-    "n_k_coarse": ("int", 1024),
-    "refine_tol": ("float", 1e-6),
     "rk4_steps": ("int", 1024),
     "lattice_N": ("int", 8),
     "lattice_m": ("int", 1),
-    "workers": ("int", 0),
     "format": ("str", "csv"),
     "out": ("str", "-"),
     "verify": ("bool", False),
@@ -189,12 +193,9 @@ class RunConfig:
     tq_scale: float
     tq_value: float
     theta_list: tuple[float, ...]
-    n_k_coarse: int
-    refine_tol: float
     rk4_steps: int
     lattice_N: int
     lattice_m: int
-    workers: int
     format: str
     out: str
     verify: bool
@@ -293,7 +294,7 @@ def _validate(values: dict[str, object]) -> None:
     def bad(key: str, why: str) -> ConfigError:
         return ConfigError(f"{key}: {why} (got {values[key]!r})")
 
-    for key in ("omega_m", "tol", "tq_scale", "tq_value", "refine_tol"):
+    for key in ("omega_m", "tol", "tq_scale", "tq_value"):
         v = values[key]
         if not (isinstance(v, float) and math.isfinite(v) and v > 0):
             raise bad(key, "must be positive")
@@ -313,14 +314,11 @@ def _validate(values: dict[str, object]) -> None:
     for key, least in (
         ("n_k", 2),
         ("n_t", 2),
-        ("n_k_coarse", 64),
         ("lattice_N", 2),
         ("rk4_steps", 16),
     ):
         if values[key] < least:  # type: ignore[operator]
             raise bad(key, f"must be at least {least}")
-    if values["workers"] < 0:  # type: ignore[operator]
-        raise bad("workers", "must be non-negative")
     if values["tq_mode"] not in ("per-k", "global-min", "fixed"):
         raise bad("tq_mode", "must be per-k, global-min or fixed")
     if values["format"] not in ("csv", "json"):
@@ -435,44 +433,35 @@ def emit(table: OutputTable, fmt: str) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_bands(cfg: RunConfig) -> OutputTable:
+def _rows(*columns: np.ndarray) -> list[tuple]:
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def _band_table(cfg: RunConfig, first: int) -> OutputTable:
+    """``band_scan`` columns from ``first`` on, after kd in units of pi."""
     scan = band_scan(cfg.lattice_params(), cfg.n_k)
-    rows = [
-        (row[0] / math.pi, row[1], row[2], row[3], row[4], row[5], row[6], row[7])
-        for row in scan
-    ]
     return OutputTable(
-        columns=(
-            "kd_over_pi",
-            "omega_plus",
-            "omega_minus",
-            "gap",
-            "alpha_A",
-            "beta_A",
-            "alpha_B",
-            "beta_B",
-        ),
-        rows=rows,
+        columns=("kd_over_pi", *BAND_SCAN_COLUMNS[first:]),
+        rows=_rows(scan[:, 0] / math.pi, *scan[:, first:].T),
         metadata=_metadata(cfg),
     )
+
+
+def _cmd_bands(cfg: RunConfig) -> OutputTable:
+    return _band_table(cfg, 1)
 
 
 def _cmd_weights(cfg: RunConfig) -> OutputTable:
-    scan = band_scan(cfg.lattice_params(), cfg.n_k)
-    rows = [(row[0] / math.pi, row[4], row[5], row[6], row[7]) for row in scan]
-    return OutputTable(
-        columns=("kd_over_pi", "alpha_A", "beta_A", "alpha_B", "beta_B"),
-        rows=rows,
-        metadata=_metadata(cfg),
-    )
+    return _band_table(cfg, BAND_SCAN_COLUMNS.index("alpha_A"))
 
 
 def _cmd_gap(cfg: RunConfig) -> OutputTable:
-    rows = []
+    kds = np.linspace(-math.pi, math.pi, cfg.n_k)
+    kd_over_pi = (kds / math.pi).tolist()
+    rows: list[tuple] = []
     for theta in cfg.theta_list:
         p = cfg.lattice_params(theta=theta)
-        for kd in np.linspace(-math.pi, math.pi, cfg.n_k):
-            rows.append((p.theta, kd / math.pi, gap(p, float(kd))))
+        rows += zip(itertools.repeat(p.theta), kd_over_pi, gap_array(p, kds).tolist())
     return OutputTable(
         columns=("theta", "kd_over_pi", "gap"), rows=rows, metadata=_metadata(cfg)
     )
@@ -507,46 +496,24 @@ def _cmd_meanfield(cfg: RunConfig) -> OutputTable:
 
 
 def _cmd_thermal(cfg: RunConfig) -> OutputTable:
-    p = cfg.lattice_params()
-    bath = cfg.bath()
-    rows = []
-    for kd in np.linspace(-math.pi, math.pi, cfg.n_k):
-        try:
-            hb = hybrid_basis(p, float(kd))
-            th = thermal_populations(hb.alpha_A, bath)
-            rows.append((kd / math.pi, hb.alpha_A, th.N_th_A, th.N_th_B))
-        except DegeneratePointError:
-            rows.append((kd / math.pi, math.nan, math.nan, math.nan))
+    scan = band_scan(cfg.lattice_params(), cfg.n_k)
+    alpha_A = scan[:, BAND_SCAN_COLUMNS.index("alpha_A")]  # NaN if degenerate
+    N_th_A, N_th_B = thermal_arrays(alpha_A, cfg.bath())
     return OutputTable(
         columns=("kd_over_pi", "alpha_A", "N_th_A", "N_th_B"),
-        rows=rows,
+        rows=_rows(scan[:, 0] / math.pi, alpha_A, N_th_A, N_th_B),
         metadata=_metadata(cfg),
     )
-
-
-def _min_gap_value(p: LatticeParams, n_k_coarse: int, refine_tol: float) -> float:
-    ext = gap_extrema(p, n_k_coarse=n_k_coarse, refine_tol=refine_tol)
-    return min(e.value for e in ext if e.kind != "maximum")
-
-
-def _resolve_t_q(cfg: RunConfig, p: LatticeParams, kd: float) -> float:
-    if cfg.tq_mode == "fixed":
-        return cfg.tq_value
-    if cfg.tq_mode == "global-min":
-        ref = _min_gap_value(p, cfg.n_k_coarse, cfg.refine_tol)
-    else:
-        ref = gap(p, kd)
-    if ref <= 0:
-        raise DegeneratePointError(
-            f"gap vanishes (kd={kd!r}); no finite ramp time under tq_mode={cfg.tq_mode}"
-        )
-    return cfg.tq_scale / ref
 
 
 def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
     p = cfg.lattice_params()
     kd = cfg.kd_over_pi * math.pi
-    t_q = _resolve_t_q(cfg, p, kd)
+    t_q = float(ramp_times(p, cfg.time_rule(), kd))
+    if math.isnan(t_q):
+        raise DegeneratePointError(
+            f"gap vanishes (kd={kd!r}); no finite ramp time under tq_mode={cfg.tq_mode}"
+        )
     records = quench_trace(
         p, kd, QuenchSchedule(g0=p.g, t_q=t_q), n_t=cfg.n_t, bath=cfg.bath()
     )
@@ -560,11 +527,7 @@ def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
 
 def _cmd_quench_scan(cfg: RunConfig) -> OutputTable:
     records = quench_scan(
-        cfg.lattice_params(),
-        cfg.time_rule(),
-        n_k=cfg.n_k,
-        bath=cfg.bath(),
-        workers=cfg.workers or None,
+        cfg.lattice_params(), cfg.time_rule(), n_k=cfg.n_k, bath=cfg.bath()
     )
     rows = [(r.kd / math.pi, r.Nq_A, r.Nq_B) for r in records]
     return OutputTable(
@@ -582,30 +545,25 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
     def ramp(frac: float) -> float:
         return p.g * (1.0 - 2.0 * frac)
 
-    max_dev = 0.0
-    max_unit = 0.0
-    for theta in thetas:
-        pth = replace(p, theta=theta)
-        kds = np.linspace(-math.pi, math.pi, 64)
-        pts = [(float(kd), gap(pth, float(kd))) for kd in kds]
-        pts = [(kd, gp) for kd, gp in pts if gp > 0]
-        if not pts:
-            max_dev = math.nan
-            break
-        deltas = np.array([reduced_coeffs(pth, kd).delta for kd, _ in pts])
-        tqs = np.array([1e-4 / gp for _, gp in pts])
-        U = _rk4_ramp(deltas, tqs, ramp, cfg.rk4_steps)
-        for i in range(len(pts)):
-            S = magnus_propagator(p.g, float(deltas[i]), float(tqs[i]), float(tqs[i]))
-            max_dev = max(max_dev, float(np.max(np.abs(U[i] - S))))
-            max_unit = max(
-                max_unit, float(np.max(np.abs(S @ S.conj().T - np.eye(2))))
-            )
+    # every phase's 64-point grid in one RK4 batch, zero-gap points left out
+    kds = np.linspace(-math.pi, math.pi, 64)
+    phases = [replace(p, theta=theta) for theta in thetas]
+    delta = np.concatenate([coeff_arrays(pth, kds)[2] for pth in phases])
+    gaps = np.concatenate([gap_array(pth, kds) for pth in phases])
+    keep = gaps > 0
+    if keep.any():
+        delta, tqs = delta[keep], 1e-4 / gaps[keep]
+        U = _rk4_ramp(delta, tqs, ramp, cfg.rk4_steps)
+        S = propagator_array(p.g, delta, tqs, tqs)
+        max_dev = float(np.max(np.abs(U - S)))
+        max_unit = float(np.max(np.abs(S @ S.conj().swapaxes(-1, -2) - np.eye(2))))
+    else:  # g = 0 and flat, coincident bands: nothing to ramp
+        max_dev, max_unit = math.nan, 0.0
 
     kd0 = 0.48 * math.pi
-    gap0 = gap(p, kd0)
+    gap0 = float(gap_array(p, kd0))
     if gap0 > 0:
-        d0 = np.array([reduced_coeffs(p, kd0).delta])
+        d0 = coeff_arrays(p, [kd0])[2]
         T0 = np.array([2.0 / gap0])
         U64 = _rk4_ramp(d0, T0, ramp, 64)[0]
         U128 = _rk4_ramp(d0, T0, ramp, 128)[0]

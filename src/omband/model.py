@@ -33,6 +33,7 @@ __all__ = [
     "LatticeParams",
     "ReducedCoeffs",
     "reduced_coeffs",
+    "coeff_arrays",
     "bloch_hamiltonian",
 ]
 
@@ -113,12 +114,18 @@ def _check_kd(kd: float) -> float:
     return kd
 
 
+def coeff_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Omega, xi and delta elementwise over an array of quasimomenta ``kd``."""
+    kd = np.asarray(kd, dtype=float)
+    Omega = p.omega_m - 2.0 * p.K * np.cos(kd)
+    xi = p.Delta + 2.0 * p.J * np.cos(kd + p.theta)
+    return Omega, xi, 0.5 * (Omega + xi)
+
+
 def reduced_coeffs(p: LatticeParams, kd: float) -> ReducedCoeffs:
     """Evaluate Omega, xi and their half-sum delta at quasimomentum ``kd``."""
-    kd = _check_kd(kd)
-    Omega = p.omega_m - 2.0 * p.K * math.cos(kd)
-    xi = p.Delta + 2.0 * p.J * math.cos(kd + p.theta)
-    return ReducedCoeffs(Omega=Omega, xi=xi, delta=0.5 * (Omega + xi))
+    Omega, xi, delta = coeff_arrays(p, _check_kd(kd))
+    return ReducedCoeffs(Omega=float(Omega), xi=float(xi), delta=float(delta))
 
 
 def bloch_hamiltonian(p: LatticeParams, kd: float) -> np.ndarray:

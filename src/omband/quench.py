@@ -25,20 +25,23 @@ and ``|M_ij|^2`` propagates thermally occupied, mutually incoherent
 initial populations.  Populations are tracked in units of the bath
 occupation ``n_th``; ``net_excitations`` subtracts the (initial-basis)
 thermal reference so that an adiabatic sweep yields zero.
+
+Every formula is evaluated elementwise over arrays of ``kd`` (a scan) or
+``t`` (a trace); the scalar functions are thin wrappers over the same
+array code.  :func:`ramp_times` is the one rule that turns a
+:class:`QuenchTimeRule` into ramp durations for both.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import DegeneratePointError, gap, gap_extrema, hybrid_basis
-from .model import LatticeParams, reduced_coeffs
+from .bands import DegeneratePointError, basis_arrays, gap_array, gap_extrema
+from .bands import gap, hybrid_basis  # noqa: F401 -- rebound by perfbench/tracer.py
+from .model import LatticeParams, coeff_arrays, reduced_coeffs
 
 __all__ = [
     "QuenchSchedule",
@@ -52,18 +55,21 @@ __all__ = [
     "DEFAULT_BATH",
     "coupling_schedule",
     "thermal_populations",
+    "thermal_arrays",
     "magnus_theta",
     "magnus_phi",
     "magnus_terms",
     "magnus_propagator",
+    "propagator_array",
     "quench_map",
     "mode_populations",
     "net_excitations",
     "quench_trace",
+    "ramp_times",
     "quench_scan",
 ]
 
-# Propagators are plain complex 2x2 ndarrays throughout this module.
+# Propagators are plain complex 2x2 ndarrays (stacked as (..., 2, 2) arrays).
 
 #: Branch point on |2 delta t_q|: Taylor series below, closed form above.
 MAGNUS_SERIES_CROSSOVER = 0.5
@@ -153,18 +159,25 @@ def thermal_populations(alpha_A: float, bath: BathParams) -> ThermalPopulations:
     """
     if not (0.0 <= alpha_A <= 1.0):
         raise ValueError(f"alpha_A must lie in [0, 1], got {alpha_A!r}")
+    return ThermalPopulations(*(float(x) for x in thermal_arrays(alpha_A, bath)))
+
+
+def thermal_arrays(alpha_A: np.ndarray, bath: BathParams) -> tuple[np.ndarray, ...]:
+    """Elementwise :func:`thermal_populations`; a NaN weight gives NaN occupations."""
+    alpha_A = np.asarray(alpha_A, dtype=float)
     beta_A = 1.0 - alpha_A
     # mode B has the complementary weights: alpha_B = beta_A
     den_A = alpha_A * bath.kappa + beta_A * bath.Gamma
     den_B = beta_A * bath.kappa + alpha_A * bath.Gamma
-    if den_A == 0.0 or den_B == 0.0:
+    singular = (den_A == 0.0) | (den_B == 0.0)
+    if singular.any():
         raise SingularBathError(
-            f"total decay rate vanishes (alpha_A={alpha_A}, kappa={bath.kappa}, "
-            f"Gamma={bath.Gamma})"
+            f"total decay rate vanishes (alpha_A={float(alpha_A[singular].flat[0])}, "
+            f"kappa={bath.kappa}, Gamma={bath.Gamma})"
         )
-    return ThermalPopulations(
-        N_th_A=beta_A * bath.Gamma * bath.n_th / den_A,
-        N_th_B=alpha_A * bath.Gamma * bath.n_th / den_B,
+    return (
+        beta_A * bath.Gamma * bath.n_th / den_A,
+        alpha_A * bath.Gamma * bath.n_th / den_B,
     )
 
 
@@ -203,8 +216,9 @@ def _ramp_moment(n: int, t_q: float, t: float) -> float:
     return t ** (n + 1) / (n + 1) - 2.0 * t ** (n + 2) / ((n + 2) * t_q)
 
 
+# The four branch formulas below take floats or equal-shape arrays alike.
 def _theta_closed(g0: float, d: float, t_q: float, t: float) -> complex:
-    e = cmath.exp(2j * d * t)
+    e = np.exp(2j * d * t)
     return (g0 / (2.0 * d)) * (
         1j * (e - 1.0) - 2j * t * e / t_q + (e - 1.0) / (d * t_q)
     )
@@ -222,19 +236,19 @@ def _theta_series(g0: float, d: float, t_q: float, t: float) -> complex:
 def _phi_groupings(d: float, t_q: float, t: float) -> tuple[float, float, float]:
     zeta = 0.5 * t * t - 2.0 * t**3 / (3.0 * t_q)
     # d*d can underflow to zero for subnormal d; use the d -> 0 limits then
-    if d == 0.0 or 2.0 * t_q * d * d == 0.0:
-        return 0.0, zeta, 0.0
-    s = math.sin(2.0 * d * t)
-    c = math.cos(2.0 * d * t)
-    xi = 1.0 - c + (2.0 * t / t_q) * c - s / (t_q * d)
-    chi = (
-        t
-        - t * t / t_q
-        - s / (2.0 * d)
-        + t * s / (t_q * d)
-        + (c - 1.0) / (2.0 * t_q * d * d)
-    )
-    return xi, zeta, chi
+    limit = 2.0 * t_q * d * d == 0.0
+    s = np.sin(2.0 * d * t)
+    c = np.cos(2.0 * d * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = 1.0 - c + (2.0 * t / t_q) * c - s / (t_q * d)
+        chi = (
+            t
+            - t * t / t_q
+            - s / (2.0 * d)
+            + t * s / (t_q * d)
+            + (c - 1.0) / (2.0 * t_q * d * d)
+        )
+    return np.where(limit, 0.0, xi), zeta, np.where(limit, 0.0, chi)
 
 
 def _phi_closed(g0: float, d: float, t_q: float, t: float) -> float:
@@ -262,32 +276,59 @@ def _phi_series(g0: float, d: float, t_q: float, t: float) -> float:
     return g0 * g0 * acc
 
 
+def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
+    """``(theta_M, phi_M)`` elementwise: series below the crossover, closed form above.
+
+    The closed form's three term signs were calibrated once against the
+    double-integral quadrature oracle and are frozen by regression test.
+    """
+    args = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (g0, delta_half, t_q, t))
+    )
+    series = np.abs(2.0 * args[1] * args[2]) < MAGNUS_SERIES_CROSSOVER
+    theta = np.empty(series.shape, dtype=complex)
+    phi = np.empty(series.shape)
+    for mask, theta_f, phi_f in (
+        (series, _theta_series, _phi_series),
+        (~series, _theta_closed, _phi_closed),
+    ):
+        part = [a[mask] for a in args]
+        theta[mask] = theta_f(*part)
+        phi[mask] = phi_f(*part)
+    return theta, phi
+
+
+def propagator_array(g0, delta_half, t_q, t) -> np.ndarray:
+    """Interaction-picture propagators ``S(t)``, shape ``(..., 2, 2)``."""
+    theta, phi = _magnus_arrays(g0, delta_half, t_q, t)
+    eta = np.hypot(np.abs(theta), phi)
+    c = np.cos(eta)
+    sinc = np.sinc(eta / math.pi)  # sin(eta)/eta, 1 at eta = 0
+    S = np.empty((*theta.shape, 2, 2), dtype=complex)
+    S[..., 0, 0] = c - 1j * sinc * phi
+    S[..., 0, 1] = 1j * sinc * theta
+    S[..., 1, 0] = 1j * sinc * np.conj(theta)
+    S[..., 1, 1] = c + 1j * sinc * phi
+    return S
+
+
 def magnus_theta(g0: float, delta_half: float, t_q: float, t: float) -> complex:
     """First-order Magnus integral ``-Int_0^t g(t') e^{2 i delta t'} dt'``."""
     _check_ramp_args(g0, delta_half, t_q, t)
-    if abs(2.0 * delta_half * t_q) < MAGNUS_SERIES_CROSSOVER:
-        return _theta_series(g0, delta_half, t_q, t)
-    return _theta_closed(g0, delta_half, t_q, t)
+    return complex(_magnus_arrays(g0, delta_half, t_q, t)[0])
 
 
 def magnus_phi(g0: float, delta_half: float, t_q: float, t: float) -> float:
-    """Second-order Magnus integral (the ordered double integral above).
-
-    The closed form is used for ``|2 delta_half t_q|`` above the series
-    crossover; its three term signs were calibrated once against the
-    double-integral quadrature oracle and are frozen by regression test.
-    """
+    """Second-order Magnus integral (the ordered double integral above)."""
     _check_ramp_args(g0, delta_half, t_q, t)
-    if abs(2.0 * delta_half * t_q) < MAGNUS_SERIES_CROSSOVER:
-        return _phi_series(g0, delta_half, t_q, t)
-    return _phi_closed(g0, delta_half, t_q, t)
+    return float(_magnus_arrays(g0, delta_half, t_q, t)[1])
 
 
 def magnus_terms(g0: float, delta_half: float, t_q: float, t: float) -> MagnusTerms:
     """Evaluate theta, phi, eta and the phi groupings in one call."""
     theta = magnus_theta(g0, delta_half, t_q, t)
     phi = magnus_phi(g0, delta_half, t_q, t)
-    xi, zeta, chi = _phi_groupings(delta_half, t_q, t)
+    xi, zeta, chi = (float(x) for x in _phi_groupings(delta_half, t_q, t))
     eta = math.hypot(abs(theta), phi)
     return MagnusTerms(
         theta_M=theta, phi_M=phi, eta=eta, xi_M=xi, zeta_M=zeta, chi_M=chi
@@ -298,15 +339,22 @@ def magnus_propagator(
     g0: float, delta_half: float, t_q: float, t: float
 ) -> np.ndarray:
     """Interaction-picture propagator ``S(t)`` (exactly unitary 2x2)."""
-    mt = magnus_terms(g0, delta_half, t_q, t)
-    c = math.cos(mt.eta)
-    sinc = float(np.sinc(mt.eta / math.pi))  # sin(eta)/eta, 1 at eta = 0
-    return np.array(
-        [
-            [c - 1j * sinc * mt.phi_M, 1j * sinc * mt.theta_M],
-            [1j * sinc * mt.theta_M.conjugate(), c + 1j * sinc * mt.phi_M],
-        ]
-    )
+    _check_ramp_args(g0, delta_half, t_q, t)
+    return propagator_array(g0, delta_half, t_q, t)
+
+
+def _rotation(g: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Hybrid-basis rotations, rows (u_A, v_A), (u_B, v_B); NaN if degenerate."""
+    _, u_A, v_A, u_B, v_B = basis_arrays(g, delta)
+    return np.stack([u_A, v_A, u_B, v_B], axis=-1).reshape(*u_A.shape, 2, 2)
+
+
+def _ramp_map(delta: np.ndarray, g0: float, t_q: np.ndarray, t: np.ndarray) -> tuple:
+    """``M = R(g(t)) S(t) R(g0)^T`` and alpha_A at ``g0``; NaN where degenerate."""
+    R0 = _rotation(g0, delta)
+    Rt = _rotation(g0 * (1.0 - 2.0 * np.asarray(t) / t_q), delta)
+    S = propagator_array(g0, delta, t_q, t)
+    return Rt @ S @ np.swapaxes(R0, -1, -2), R0[..., 0, 0] ** 2
 
 
 def quench_map(p: LatticeParams, kd: float, s: QuenchSchedule, t: float) -> np.ndarray:
@@ -317,11 +365,23 @@ def quench_map(p: LatticeParams, kd: float, s: QuenchSchedule, t: float) -> np.n
     endpoints comes from the schedule (``p.g`` is ignored here); the
     band coefficients Omega, xi, delta come from ``p`` and ``kd``.
     """
-    rc = reduced_coeffs(p, kd)
-    b0 = hybrid_basis(replace(p, g=s.g0), kd)
-    bt = hybrid_basis(replace(p, g=coupling_schedule(s, t)), kd)
-    S = magnus_propagator(s.g0, rc.delta, s.t_q, t)
-    return bt.R @ S @ b0.R.T
+    delta = reduced_coeffs(p, kd).delta
+    _check_ramp_args(s.g0, delta, s.t_q, t)
+    M = _ramp_map(delta, s.g0, s.t_q, t)[0]
+    if np.isnan(M).any():
+        raise DegeneratePointError.at(kd)
+    return M
+
+
+def _populations(M: np.ndarray, N_th_A, N_th_B, n_th: float) -> tuple[np.ndarray, ...]:
+    """``(N_A, N_B, Nq_A, Nq_B)`` in units of n_th, elementwise over ``M``."""
+    P = np.abs(M) ** 2
+    if n_th == 0.0:  # zero-temperature bath: nothing to propagate
+        zero = 0.0 * P[..., 0, 0]  # NaN where M is
+        return zero, zero, zero, zero
+    N_A = (P[..., 0, 0] * N_th_A + P[..., 0, 1] * N_th_B) / n_th
+    N_B = (P[..., 1, 0] * N_th_A + P[..., 1, 1] * N_th_B) / n_th
+    return N_A, N_B, N_A - N_th_A / n_th, N_B - N_th_B / n_th
 
 
 def mode_populations(
@@ -332,10 +392,7 @@ def mode_populations(
     Assumes the initial state is diagonal in the hybrid basis with
     occupations ``th``; returns (0, 0) for a zero-temperature bath.
     """
-    if n_th == 0.0:
-        return 0.0, 0.0
-    N_A = (abs(M[0, 0]) ** 2 * th.N_th_A + abs(M[0, 1]) ** 2 * th.N_th_B) / n_th
-    N_B = (abs(M[1, 0]) ** 2 * th.N_th_A + abs(M[1, 1]) ** 2 * th.N_th_B) / n_th
+    N_A, N_B, _, _ = _populations(np.asarray(M), th.N_th_A, th.N_th_B, n_th)
     return float(N_A), float(N_B)
 
 
@@ -371,26 +428,23 @@ def quench_trace(
 
     The initial state is thermal and diagonal in the hybrid basis of the
     pre-ramp coupling ``s.g0``; that same reference is subtracted at all
-    later times.
+    later times.  Raises :class:`DegeneratePointError` if the hybrid
+    basis is degenerate at any sample.
     """
     if n_t < 2:
         raise ValueError(f"n_t must be at least 2, got {n_t}")
-    b0 = hybrid_basis(replace(p, g=s.g0), kd)
-    th = thermal_populations(b0.alpha_A, bath)
-    records = []
-    for t in np.linspace(0.0, s.t_q, n_t):
-        M = quench_map(p, kd, s, float(t))
-        N_A, N_B = mode_populations(M, th, bath.n_th)
-        Nq_A, Nq_B = net_excitations(N_A, N_B, th, bath.n_th)
-        records.append(
-            QuenchRecord(kd=kd, t=float(t), N_A=N_A, N_B=N_B, Nq_A=Nq_A, Nq_B=Nq_B)
-        )
-    return records
+    t = np.linspace(0.0, s.t_q, n_t)
+    M, alpha_A = _ramp_map(reduced_coeffs(p, kd).delta, s.g0, s.t_q, t)
+    pops = _populations(M, *thermal_arrays(alpha_A, bath), bath.n_th)
+    if np.isnan(pops[0]).any():
+        raise DegeneratePointError.at(kd)
+    rows = zip(t.tolist(), *(x.tolist() for x in pops))
+    return [QuenchRecord(kd, *row) for row in rows]
 
 
 @dataclass(frozen=True)
 class QuenchTimeRule:
-    """How the ramp duration is chosen when scanning over ``kd``.
+    """How the ramp duration is chosen; :func:`ramp_times` applies it.
 
     mode "per-k":       t_q = scale / gap(kd)          (locally scaled)
     mode "global-min":  t_q = scale / min_k gap        (one duration for all k)
@@ -412,9 +466,23 @@ class QuenchTimeRule:
                 raise ValueError(f"scale must be positive, got {self.scale!r}")
 
 
-def _min_gap(p: LatticeParams) -> float:
-    ext = gap_extrema(p)
-    return min(e.value for e in ext if e.kind != "maximum")
+def ramp_times(p: LatticeParams, rule: QuenchTimeRule, kd: np.ndarray) -> np.ndarray:
+    """Ramp duration ``t_q`` at each ``kd`` under ``rule``.
+
+    NaN where the reference gap -- the local gap for "per-k", the
+    minimum from :func:`gap_extrema` for "global-min" -- is zero, since
+    no finite ramp time exists there.
+    """
+    kd = np.asarray(kd, dtype=float)
+    if rule.mode == "fixed":
+        return np.full(kd.shape, float(rule.t_q))  # type: ignore[arg-type]
+    if rule.mode == "per-k":
+        ref = gap_array(p, kd)
+    else:
+        least = min(e.value for e in gap_extrema(p) if e.kind != "maximum")
+        ref = np.full(kd.shape, least)
+    with np.errstate(divide="ignore"):
+        return np.where(ref > 0.0, rule.scale / ref, math.nan)
 
 
 def quench_scan(
@@ -424,51 +492,26 @@ def quench_scan(
     n_k: int = 512,
     *,
     bath: BathParams = DEFAULT_BATH,
-    workers: int | None = None,
 ) -> list[QuenchRecord]:
     """End-of-ramp excitations across the zone, ``g0 = p.g``.
 
     ``theta`` overrides ``p.theta`` when given (convenient for phase
     sweeps).  Rows are in ascending ``kd`` on an inclusive [-pi, pi]
-    grid and do not depend on ``workers`` (each row is independent;
-    results are assembled by index).  A degenerate point -- possible
-    only when ``p.g = 0`` -- yields a NaN-filled record rather than
+    grid, with ``t`` the ramp time from :func:`ramp_times`.  A row with
+    no finite ramp time (zero gap) or a degenerate hybrid basis --
+    possible only when ``p.g = 0`` -- is NaN-filled rather than
     aborting the scan.
     """
     if n_k < 2:
         raise ValueError(f"n_k must be at least 2, got {n_k}")
     if theta is not None:
         p = replace(p, theta=theta)
-    kds = [float(kd) for kd in np.linspace(-math.pi, math.pi, n_k)]
-    global_min = _min_gap(p) if rule.mode == "global-min" else None
-
-    def one(kd: float) -> QuenchRecord:
-        if rule.mode == "fixed":
-            t_q = float(rule.t_q)  # type: ignore[arg-type]
-        elif rule.mode == "global-min":
-            t_q = rule.scale / global_min if global_min > 0 else math.nan
-        else:
-            local_gap = gap(p, kd)
-            t_q = rule.scale / local_gap if local_gap > 0 else math.nan
-        if not math.isfinite(t_q):
-            return QuenchRecord(
-                kd=kd, t=t_q, N_A=math.nan, N_B=math.nan, Nq_A=math.nan, Nq_B=math.nan
-            )
-        s = QuenchSchedule(g0=p.g, t_q=t_q)
-        try:
-            b0 = hybrid_basis(replace(p, g=s.g0), kd)
-        except DegeneratePointError:
-            return QuenchRecord(
-                kd=kd, t=t_q, N_A=math.nan, N_B=math.nan, Nq_A=math.nan, Nq_B=math.nan
-            )
-        th = thermal_populations(b0.alpha_A, bath)
-        M = quench_map(p, kd, s, t_q)
-        N_A, N_B = mode_populations(M, th, bath.n_th)
-        Nq_A, Nq_B = net_excitations(N_A, N_B, th, bath.n_th)
-        return QuenchRecord(kd=kd, t=t_q, N_A=N_A, N_B=N_B, Nq_A=Nq_A, Nq_B=Nq_B)
-
-    n_workers = workers if workers else (os.cpu_count() or 1)
-    if n_workers <= 1:
-        return [one(kd) for kd in kds]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(one, kds))
+    kd = np.linspace(-math.pi, math.pi, n_k)
+    t_q = ramp_times(p, rule, kd)
+    ok = np.isfinite(t_q)
+    pops = [np.full(n_k, math.nan) for _ in range(4)]
+    M, alpha_A = _ramp_map(coeff_arrays(p, kd[ok])[2], p.g, t_q[ok], t_q[ok])
+    for col, x in zip(pops, _populations(M, *thermal_arrays(alpha_A, bath), bath.n_th)):
+        col[ok] = x
+    rows = zip(kd.tolist(), t_q.tolist(), *(x.tolist() for x in pops))
+    return [QuenchRecord(*row) for row in rows]

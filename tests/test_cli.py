@@ -137,10 +137,85 @@ def test_output_is_byte_deterministic(capsys):
     assert first == second
 
 
-def test_worker_count_does_not_change_rows(capsys):
-    _, one, _ = run_cli(capsys, "quench-scan", "--n_k", "17", "--workers", "1")
-    _, four, _ = run_cli(capsys, "quench-scan", "--n_k", "17", "--workers", "4")
-    assert data_lines(one) == data_lines(four)
+# written by the release that still had the workers, n_k_coarse and
+# refine_tol keys: `omband quench-scan --n_k 9 --theta 0.8pi --tq_mode global-min`
+OLD_SCAN_OUTPUT = """\
+# version = 0.1.0
+# omega_m = 4.2999999999999998
+# Delta = -4.2999999999999998
+# J = 0.5
+# K = 0.20000000000000001
+# g = 0.10000000000000001
+# theta = 2.5132741228718345
+# kappa = 0.10000000000000001
+# Gamma = 0.001
+# n_th = 100
+# Omega_d = 1
+# G = 0.001
+# tol = 9.9999999999999998e-13
+# max_iter = 10000
+# damping = 0.5
+# n_k = 9
+# n_t = 512
+# kd_over_pi = 0.47999999999999998
+# tq_mode = global-min
+# tq_scale = 0.0001
+# tq_value = 1
+# theta_list = 0,0.78539816339744828,1.5707963267948966,3.1415926535897931
+# n_k_coarse = 1024
+# refine_tol = 9.9999999999999995e-07
+# rk4_steps = 1024
+# lattice_N = 8
+# lattice_m = 1
+# workers = 0
+# format = csv
+# out = -
+# verify = false
+kd_over_pi,Nq_A,Nq_B
+-1,-0.01590109352817215,0.015901093528172212
+-0.75,-0.014999317831886461,0.01499931783188603
+-0.5,-0.027730038484794634,0.027730038484794536
+-0.25,0.03001027308716854,-0.030010273087168554
+0,0.015901093528172316,-0.015901093528172261
+0.25,0.014999317831885978,-0.014999317831886239
+0.5,0.02773003848479462,-0.027730038484794745
+0.75,-0.030010273087168554,0.030010273087168596
+1,-0.01590109352817215,0.015901093528172212
+"""
+
+
+@pytest.mark.parametrize(
+    "flag", [("--workers", "1"), ("--n_k_coarse", "2048"), ("--refine_tol", "1e-9")]
+)
+def test_removed_keys_exit_2_as_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quench-scan", "--n_k", "9", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_old_metadata_with_removed_keys_still_replays(tmp_path, capsys):
+    cfile = tmp_path / "old.cfg"
+    cfile.write_text(
+        "".join(ln + "\n" for ln in OLD_SCAN_OUTPUT.splitlines() if ln.startswith("#"))
+    )
+    code, replay, _ = run_cli(capsys, "quench-scan", "--config", str(cfile))
+    assert code == 0
+    assert not any(k in replay for k in ("workers", "n_k_coarse", "refine_tol"))
+    _, direct, _ = run_cli(
+        capsys, "quench-scan", "--n_k", "9", "--theta", "0.8pi", "--tq_mode", "global-min"
+    )
+    assert data_lines(replay) == data_lines(direct)
+    cols, old_rows = rows_of(OLD_SCAN_OUTPUT)
+    assert rows_of(replay)[0] == cols
+    for old, new in zip(old_rows, rows_of(replay)[1]):
+        assert [float(x) for x in new] == pytest.approx(
+            [float(x) for x in old], rel=0, abs=1e-13
+        )
+    # an uncommented assignment to a removed key is an unknown key
+    cfile.write_text("workers = 0\n")
+    code, _, err = run_cli(capsys, "quench-scan", "--config", str(cfile))
+    assert code == 2 and "workers" in err
 
 
 def test_metadata_block_roundtrips(tmp_path, capsys):

@@ -296,6 +296,24 @@ def test_populations_invariant_under_nth_scaling(hopping_dominated):
         assert ra.Nq_B == pytest.approx(rb.Nq_B, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("params", ["hopping_dominated", "coupling_dominated"])
+def test_trace_through_the_zero_coupling_sample(params, request):
+    # odd n_t puts a sample at t_q / 2, where g(t) = 0 exactly
+    p = request.getfixturevalue(params)
+    kd = 0.48 * math.pi
+    s = QuenchSchedule(g0=p.g, t_q=1.0 / gap(p, kd))
+    recs = quench_trace(p, kd, s, n_t=5)
+    assert recs[2].t == 0.5 * s.t_q and coupling_schedule(s, recs[2].t) == 0.0
+    th = thermal_populations(hybrid_basis(p, kd).alpha_A, DEFAULT_BATH)
+    for r in recs:
+        values = (r.N_A, r.N_B, r.Nq_A, r.Nq_B)
+        assert all(math.isfinite(v) for v in values)
+        assert abs(r.Nq_A + r.Nq_B) <= 1e-13
+        N_A, N_B = mode_populations(quench_map(p, kd, s, r.t), th, DEFAULT_BATH.n_th)
+        Nq_A, Nq_B = net_excitations(N_A, N_B, th, DEFAULT_BATH.n_th)
+        assert values == pytest.approx((N_A, N_B, Nq_A, Nq_B), rel=0, abs=1e-13)
+
+
 def test_scan_grid_and_ordering(hopping_dominated):
     recs = quench_scan(hopping_dominated, QuenchTimeRule(), n_k=33)
     assert len(recs) == 33
@@ -305,12 +323,6 @@ def test_scan_grid_and_ordering(hopping_dominated):
     # per-k rule: t column is the local ramp time 1e-4 / gap
     for r in recs[:: (len(recs) // 8)]:
         assert r.t == pytest.approx(1e-4 / gap(hopping_dominated, r.kd), rel=1e-12)
-
-
-def test_scan_worker_count_does_not_change_results(hopping_dominated):
-    a = quench_scan(hopping_dominated, QuenchTimeRule(), n_k=65, workers=1)
-    b = quench_scan(hopping_dominated, QuenchTimeRule(), n_k=65, workers=4)
-    assert a == b
 
 
 def test_scan_theta_override(hopping_dominated):
