@@ -32,7 +32,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -74,50 +74,13 @@ from .quench import magnus_propagator, thermal_populations  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "OutputTable", "parse_config", "run_command", "emit", "main"]
 
-COMMANDS = (
-    "bands",
-    "weights",
-    "gap",
-    "meanfield",
-    "thermal",
-    "quench-trace",
-    "quench-scan",
-    "verify",
-)
-
-# key -> (kind, default).  Order fixed: it is the metadata emission order.
-# kinds: float | angle (pi token allowed) | angles (comma list) | int | str | bool
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "omega_m": ("float", 4.3),
-    "Delta": ("float", -4.3),
-    "J": ("float", 0.5),
-    "K": ("float", 0.2),
-    "g": ("float", 0.1),
-    "theta": ("angle", 0.0),
-    "kappa": ("float", 0.1),
-    "Gamma": ("float", 0.001),
-    "n_th": ("float", 100.0),
-    "Omega_d": ("float", 1.0),
-    "G": ("float", 0.001),
-    "tol": ("float", 1e-12),
-    "max_iter": ("int", 10000),
-    "damping": ("float", 0.5),
-    "n_k": ("int", 512),
-    "n_t": ("int", 512),
-    "kd_over_pi": ("float", 0.48),
-    "tq_mode": ("str", "per-k"),
-    "tq_scale": ("float", 1e-4),
-    "tq_value": ("float", 1.0),
-    "theta_list": ("angles", (0.0, 0.25 * math.pi, 0.5 * math.pi, math.pi)),
-    "rk4_steps": ("int", 1024),
-    "lattice_N": ("int", 8),
-    "lattice_m": ("int", 1),
-    "format": ("str", "csv"),
-    "out": ("str", "-"),
-    "verify": ("bool", False),
-}
-
 _ALIASES = {"gamma_m": "Gamma"}
+
+# Config text may give an angle with a trailing pi token.  A key's parse
+# kind is the text of its RunConfig annotation: float, Angle, Angles, int,
+# str or bool.
+Angle = float
+Angles = tuple[Angle, ...]
 
 
 class ConfigError(ValueError):
@@ -148,9 +111,9 @@ def _parse_value(key: str, kind: str, s: str) -> object:
             return float(txt)
         except ValueError:
             raise ConfigError(f"{key}: cannot parse {s!r} as a number") from None
-    if kind == "angle":
+    if kind == "Angle":
         return _parse_pi_float(key, txt)
-    if kind == "angles":
+    if kind == "Angles":
         parts = [q for q in (q.strip() for q in txt.split(",")) if q]
         if not parts:
             raise ConfigError(f"{key}: empty list")
@@ -172,74 +135,112 @@ def _parse_value(key: str, kind: str, s: str) -> object:
 
 @dataclass(frozen=True)
 class RunConfig:
-    omega_m: float
-    Delta: float
-    J: float
-    K: float
-    g: float
-    theta: float
-    kappa: float
-    Gamma: float
-    n_th: float
-    Omega_d: float
-    G: float
-    tol: float
-    max_iter: int
-    damping: float
-    n_k: int
-    n_t: int
-    kd_over_pi: float
-    tq_mode: str
-    tq_scale: float
-    tq_value: float
-    theta_list: tuple[float, ...]
-    rk4_steps: int
-    lattice_N: int
-    lattice_m: int
-    format: str
-    out: str
-    verify: bool
+    """The resolved configuration: one field per config key, with its default.
 
-    def lattice_params(self, theta: float | None = None) -> LatticeParams:
+    Field order is the metadata order.  Building a RunConfig, also through
+    ``dataclasses.replace``, checks every key and builds the library
+    parameters ``lattice``, ``bath``, ``drive`` and ``time_rule``; a bad
+    value raises ConfigError.  ``theta`` is stored folded into (-pi, pi],
+    so metadata and round-trips are canonical.
+    """
+
+    omega_m: float = 4.3
+    Delta: float = -4.3
+    J: float = 0.5
+    K: float = 0.2
+    g: float = 0.1
+    theta: Angle = 0.0
+    kappa: float = 0.1
+    Gamma: float = 0.001
+    n_th: float = 100.0
+    Omega_d: float = 1.0
+    G: float = 0.001
+    tol: float = 1e-12
+    max_iter: int = 10000
+    damping: float = 0.5
+    n_k: int = 512
+    n_t: int = 512
+    kd_over_pi: float = 0.48
+    tq_mode: str = "per-k"
+    tq_scale: float = 1e-4
+    tq_value: float = 1.0
+    theta_list: Angles = (0.0, 0.25 * math.pi, 0.5 * math.pi, math.pi)
+    rk4_steps: int = 1024
+    lattice_N: int = 8
+    lattice_m: int = 1
+    format: str = "csv"
+    out: str = "-"
+    verify: bool = False
+    lattice: LatticeParams = field(init=False, repr=False)
+    bath: BathParams = field(init=False, repr=False)
+    drive: DriveParams = field(init=False, repr=False)
+    time_rule: QuenchTimeRule = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _validate(self)
         try:
-            return LatticeParams(
-                omega_m=self.omega_m,
-                Delta=self.Delta,
-                J=self.J,
-                K=self.K,
-                g=self.g,
-                theta=self.theta if theta is None else theta,
+            lattice = LatticeParams(
+                self.omega_m, self.Delta, self.J, self.K, self.g, self.theta
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def bath(self) -> BathParams:
-        try:
-            return BathParams(kappa=self.kappa, Gamma=self.Gamma, n_th=self.n_th)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def drive(self) -> DriveParams:
-        try:
-            return DriveParams(
-                lattice=self.lattice_params(),
-                Omega_d=self.Omega_d,
-                G=self.G,
-                kappa=self.kappa,
-                gamma_m=self.Gamma,
+            # the bath first, so a bad Gamma is reported as Gamma, not gamma_m
+            bath = BathParams(self.kappa, self.Gamma, self.n_th)
+            drive = DriveParams(
+                lattice, self.Omega_d, self.G, self.kappa, gamma_m=self.Gamma
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def time_rule(self) -> QuenchTimeRule:
-        try:
-            return QuenchTimeRule(
+            time_rule = QuenchTimeRule(
                 mode=self.tq_mode,
                 scale=self.tq_scale,
                 t_q=self.tq_value if self.tq_mode == "fixed" else None,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for name, value in (
+            ("theta", lattice.theta),
+            ("lattice", lattice),
+            ("bath", bath),
+            ("drive", drive),
+            ("time_rule", time_rule),
+        ):
+            object.__setattr__(self, name, value)
+
+
+# config key -> parse kind, in metadata order
+_KINDS = {f.name: f.type for f in fields(RunConfig) if f.init}
+
+
+def _validate(cfg: RunConfig) -> None:
+    """Check the keys that no library parameter type checks.
+
+    QuenchTimeRule checks only the one of tq_scale and tq_value that its
+    mode uses, and its messages name neither key, so both are checked here.
+    """
+
+    def bad(key: str, why: str) -> ConfigError:
+        return ConfigError(f"{key}: {why} (got {getattr(cfg, key)!r})")
+
+    for key in ("tol", "tq_scale", "tq_value"):
+        v = getattr(cfg, key)
+        if not (math.isfinite(v) and v > 0):
+            raise bad(key, "must be positive")
+    if not math.isfinite(cfg.kd_over_pi):
+        raise bad("kd_over_pi", "must be finite")
+    if not (cfg.theta_list and all(map(math.isfinite, cfg.theta_list))):
+        raise bad("theta_list", "must be a non-empty list of finite angles")
+    if not (0.0 < cfg.damping <= 1.0):
+        raise bad("damping", "must lie in (0, 1]")
+    for key, least in (
+        ("max_iter", 1),
+        ("n_k", 2),
+        ("n_t", 2),
+        ("lattice_N", 2),
+        ("rk4_steps", 16),
+    ):
+        if getattr(cfg, key) < least:
+            raise bad(key, f"must be at least {least}")
+    if cfg.tq_mode not in ("per-k", "global-min", "fixed"):
+        raise bad("tq_mode", "must be per-k, global-min or fixed")
+    if cfg.format not in ("csv", "json"):
+        raise bad("format", "must be csv or json")
 
 
 def _read_assignments(source: str, text: str) -> dict[str, str]:
@@ -264,7 +265,7 @@ def _read_assignments(source: str, text: str) -> dict[str, str]:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        known = key in _SCHEMA or key in _ALIASES
+        known = key in _KINDS or key in _ALIASES
         if not known:
             if commented:
                 continue  # ordinary comment that happens to contain '='
@@ -286,64 +287,22 @@ def _apply_source(
             )
         resolved[canon] = text
     for key, text in resolved.items():
-        kind = _SCHEMA[key][0]
-        values[key] = _parse_value(key, kind, text)
-
-
-def _validate(values: dict[str, object]) -> None:
-    def bad(key: str, why: str) -> ConfigError:
-        return ConfigError(f"{key}: {why} (got {values[key]!r})")
-
-    for key in ("omega_m", "tol", "tq_scale", "tq_value"):
-        v = values[key]
-        if not (isinstance(v, float) and math.isfinite(v) and v > 0):
-            raise bad(key, "must be positive")
-    for key in ("J", "K", "n_th", "kappa", "Gamma", "Omega_d", "G"):
-        v = values[key]
-        if not (isinstance(v, float) and math.isfinite(v) and v >= 0):
-            raise bad(key, "must be non-negative")
-    for key in ("Delta", "g", "theta", "kd_over_pi"):
-        if not math.isfinite(values[key]):  # type: ignore[arg-type]
-            raise bad(key, "must be finite")
-    if values["kappa"] + values["Gamma"] <= 0:  # type: ignore[operator]
-        raise bad("kappa", "kappa + Gamma must be positive")
-    if not (0.0 < values["damping"] <= 1.0):  # type: ignore[operator]
-        raise bad("damping", "must lie in (0, 1]")
-    if values["max_iter"] < 1:  # type: ignore[operator]
-        raise bad("max_iter", "must be at least 1")
-    for key, least in (
-        ("n_k", 2),
-        ("n_t", 2),
-        ("lattice_N", 2),
-        ("rk4_steps", 16),
-    ):
-        if values[key] < least:  # type: ignore[operator]
-            raise bad(key, f"must be at least {least}")
-    if values["tq_mode"] not in ("per-k", "global-min", "fixed"):
-        raise bad("tq_mode", "must be per-k, global-min or fixed")
-    if values["format"] not in ("csv", "json"):
-        raise bad("format", "must be csv or json")
-    if not values["theta_list"]:
-        raise bad("theta_list", "must not be empty")
+        values[key] = _parse_value(key, _KINDS[key], text)
 
 
 def parse_config(
     file_text: str | None = None, flags: dict[str, str] | None = None
 ) -> RunConfig:
     """Resolve defaults, config-file text, and flag strings into a RunConfig."""
-    values: dict[str, object] = {k: spec[1] for k, spec in _SCHEMA.items()}
+    values: dict[str, object] = {}
     if file_text is not None:
         _apply_source(values, _read_assignments("config", file_text), "config")
     if flags:
-        unknown = [k for k in flags if k not in _SCHEMA and k not in _ALIASES]
+        unknown = [k for k in flags if k not in _KINDS and k not in _ALIASES]
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r}")
         _apply_source(values, dict(flags), "flags")
-    _validate(values)
-    cfg = RunConfig(**values)  # type: ignore[arg-type]
-    cfg.lattice_params()  # surface parameter problems as ConfigError now
-    # store the folded angle so metadata and round-trips are canonical
-    return replace(cfg, theta=cfg.lattice_params().theta)
+    return RunConfig(**values)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------- output
@@ -364,24 +323,16 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _meta_value(key: str, value: object) -> str:
-    kind = _SCHEMA[key][0]
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "int":
-        return str(value)
-    if kind in ("float", "angle"):
-        return _fmt_float(value)  # type: ignore[arg-type]
-    if kind == "angles":
-        return ",".join(_fmt_float(v) for v in value)  # type: ignore[union-attr]
-    return str(value)
-
-
 def _metadata(cfg: RunConfig) -> dict[str, str]:
     # "version" is not a config key: on re-parse the commented line is
     # skipped as an ordinary comment, so round-trips stay exact.
     meta = {"version": __version__}
-    meta.update((key, _meta_value(key, getattr(cfg, key))) for key in _SCHEMA)
+    for key in _KINDS:
+        value = getattr(cfg, key)
+        if isinstance(value, tuple):
+            meta[key] = ",".join(map(_csv_cell, value))
+        else:
+            meta[key] = _csv_cell(value)
     return meta
 
 
@@ -396,16 +347,11 @@ def _csv_cell(value: object) -> str:
 
 
 def _json_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return _fmt_float(x)
-    return json.dumps(str(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return "null"
+    return _csv_cell(value)
 
 
 def emit(table: OutputTable, fmt: str) -> str:
@@ -439,7 +385,7 @@ def _rows(*columns: np.ndarray) -> list[tuple]:
 
 def _band_table(cfg: RunConfig, first: int) -> OutputTable:
     """``band_scan`` columns from ``first`` on, after kd in units of pi."""
-    scan = band_scan(cfg.lattice_params(), cfg.n_k)
+    scan = band_scan(cfg.lattice, cfg.n_k)
     return OutputTable(
         columns=("kd_over_pi", *BAND_SCAN_COLUMNS[first:]),
         rows=_rows(scan[:, 0] / math.pi, *scan[:, first:].T),
@@ -460,7 +406,7 @@ def _cmd_gap(cfg: RunConfig) -> OutputTable:
     kd_over_pi = (kds / math.pi).tolist()
     rows: list[tuple] = []
     for theta in cfg.theta_list:
-        p = cfg.lattice_params(theta=theta)
+        p = replace(cfg.lattice, theta=theta)
         rows += zip(itertools.repeat(p.theta), kd_over_pi, gap_array(p, kds).tolist())
     return OutputTable(
         columns=("theta", "kd_over_pi", "gap"), rows=rows, metadata=_metadata(cfg)
@@ -469,7 +415,7 @@ def _cmd_gap(cfg: RunConfig) -> OutputTable:
 
 def _cmd_meanfield(cfg: RunConfig) -> OutputTable:
     sol = solve_meanfield(
-        cfg.drive(), tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping
+        cfg.drive, tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping
     )
     row = (
         sol.alpha.real,
@@ -496,9 +442,9 @@ def _cmd_meanfield(cfg: RunConfig) -> OutputTable:
 
 
 def _cmd_thermal(cfg: RunConfig) -> OutputTable:
-    scan = band_scan(cfg.lattice_params(), cfg.n_k)
+    scan = band_scan(cfg.lattice, cfg.n_k)
     alpha_A = scan[:, BAND_SCAN_COLUMNS.index("alpha_A")]  # NaN if degenerate
-    N_th_A, N_th_B = thermal_arrays(alpha_A, cfg.bath())
+    N_th_A, N_th_B = thermal_arrays(alpha_A, cfg.bath)
     return OutputTable(
         columns=("kd_over_pi", "alpha_A", "N_th_A", "N_th_B"),
         rows=_rows(scan[:, 0] / math.pi, alpha_A, N_th_A, N_th_B),
@@ -507,15 +453,15 @@ def _cmd_thermal(cfg: RunConfig) -> OutputTable:
 
 
 def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
-    p = cfg.lattice_params()
+    p = cfg.lattice
     kd = cfg.kd_over_pi * math.pi
-    t_q = float(ramp_times(p, cfg.time_rule(), kd))
+    t_q = float(ramp_times(p, cfg.time_rule, kd))
     if math.isnan(t_q):
         raise DegeneratePointError(
             f"gap vanishes (kd={kd!r}); no finite ramp time under tq_mode={cfg.tq_mode}"
         )
     records = quench_trace(
-        p, kd, QuenchSchedule(g0=p.g, t_q=t_q), n_t=cfg.n_t, bath=cfg.bath()
+        p, kd, QuenchSchedule(g0=p.g, t_q=t_q), n_t=cfg.n_t, bath=cfg.bath
     )
     rows = [(r.t / t_q, r.N_A, r.N_B, r.Nq_A, r.Nq_B) for r in records]
     return OutputTable(
@@ -527,7 +473,7 @@ def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
 
 def _cmd_quench_scan(cfg: RunConfig) -> OutputTable:
     records = quench_scan(
-        cfg.lattice_params(), cfg.time_rule(), n_k=cfg.n_k, bath=cfg.bath()
+        cfg.lattice, cfg.time_rule, n_k=cfg.n_k, bath=cfg.bath
     )
     rows = [(r.kd / math.pi, r.Nq_A, r.Nq_B) for r in records]
     return OutputTable(
@@ -537,7 +483,7 @@ def _cmd_quench_scan(cfg: RunConfig) -> OutputTable:
 
 def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
     """Five self-consistency checks; all cheap enough to run routinely."""
-    p = cfg.lattice_params()
+    p = cfg.lattice
     thetas = [0.0, 0.25 * math.pi, math.pi, 0.8 * math.pi]
     if all(abs(p.theta - th) > 1e-12 for th in thetas):
         thetas.append(p.theta)
@@ -581,7 +527,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
 
     try:
         sol = solve_meanfield(
-            cfg.drive(), tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping
+            cfg.drive, tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping
         )
         mf_res = sol.residual
     except MeanFieldConvergenceError:
@@ -638,12 +584,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Band structure and ramp dynamics of a phase-driven "
         "optomechanical ring.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--config", metavar="FILE", help="flat key = value file")
-    for key in _SCHEMA:
+    for key in (*_KINDS, *_ALIASES):
         parser.add_argument(f"--{key}", metavar="V", default=None)
-    for alias in _ALIASES:
-        parser.add_argument(f"--{alias}", metavar="V", default=None)
     return parser
 
 
@@ -660,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 5
         flags = {
             key: getattr(args, key)
-            for key in (*_SCHEMA, *_ALIASES)
+            for key in (*_KINDS, *_ALIASES)
             if getattr(args, key) is not None
         }
         cfg = parse_config(file_text, flags)

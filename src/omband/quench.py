@@ -187,19 +187,15 @@ class MagnusTerms:
 
     ``theta_M`` is the first-order (off-diagonal) term, ``phi_M`` the
     second-order commutator (diagonal) term, ``eta`` the rotation angle
-    ``sqrt(|theta_M|^2 + phi_M^2)``.  ``xi_M``, ``zeta_M`` and ``chi_M``
-    are the three groupings that assemble ``phi_M`` on the closed-form
-    branch; they are diagnostic only, carry cancellation noise for
-    ``|2 delta_half t_q|`` well below 1, and equal their analytic limits
-    (0, polynomial, 0) at ``delta_half = 0``.
+    ``sqrt(|theta_M|^2 + phi_M^2)``.  ``zeta_M`` is the polynomial
+    grouping ``t^2/2 - 2 t^3 / (3 t_q)`` that enters ``phi_M`` on the
+    closed-form branch.
     """
 
     theta_M: complex
     phi_M: float
     eta: float
-    xi_M: float
     zeta_M: float
-    chi_M: float
 
 
 def _check_ramp_args(g0: float, delta_half: float, t_q: float, t: float) -> None:
@@ -325,14 +321,12 @@ def magnus_phi(g0: float, delta_half: float, t_q: float, t: float) -> float:
 
 
 def magnus_terms(g0: float, delta_half: float, t_q: float, t: float) -> MagnusTerms:
-    """Evaluate theta, phi, eta and the phi groupings in one call."""
+    """Evaluate theta, phi, eta and the polynomial phi grouping in one call."""
     theta = magnus_theta(g0, delta_half, t_q, t)
     phi = magnus_phi(g0, delta_half, t_q, t)
-    xi, zeta, chi = (float(x) for x in _phi_groupings(delta_half, t_q, t))
+    zeta = float(_phi_groupings(delta_half, t_q, t)[1])
     eta = math.hypot(abs(theta), phi)
-    return MagnusTerms(
-        theta_M=theta, phi_M=phi, eta=eta, xi_M=xi, zeta_M=zeta, chi_M=chi
-    )
+    return MagnusTerms(theta_M=theta, phi_M=phi, eta=eta, zeta_M=zeta)
 
 
 def magnus_propagator(

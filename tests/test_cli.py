@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,62 @@ def test_negative_value_via_equals_flag_exits_2(capsys):
     code, _, err = run_cli(capsys, "thermal", "--n_th=-5")
     assert code == 2
     assert "n_th" in err
+
+
+@pytest.mark.parametrize(
+    "key, flags",
+    [
+        ("omega_m", {"omega_m": "0"}),
+        ("Delta", {"Delta": "nan"}),
+        ("J", {"J": "-0.1"}),
+        ("K", {"K": "-1"}),
+        ("g", {"g": "inf"}),
+        ("theta", {"theta": "nan"}),
+        ("kappa", {"kappa": "-1"}),
+        ("Gamma", {"Gamma": "-1"}),
+        ("Gamma", {"gamma_m": "-1"}),
+        ("kappa", {"kappa": "0", "Gamma": "0"}),
+        ("n_th", {"n_th": "nan"}),
+        ("Omega_d", {"Omega_d": "-1"}),
+        ("G", {"G": "inf"}),
+        ("tol", {"tol": "0"}),
+        ("max_iter", {"max_iter": "0"}),
+        ("damping", {"damping": "1.5"}),
+        ("n_k", {"n_k": "1"}),
+        ("n_t", {"n_t": "1"}),
+        ("kd_over_pi", {"kd_over_pi": "nan"}),
+        ("tq_mode", {"tq_mode": "sideways"}),
+        ("tq_scale", {"tq_scale": "0"}),
+        ("tq_scale", {"tq_mode": "global-min", "tq_scale": "-1"}),
+        ("tq_value", {"tq_value": "-2"}),
+        ("tq_value", {"tq_mode": "fixed", "tq_value": "0"}),
+        ("theta_list", {"theta_list": "0,nan"}),
+        ("rk4_steps", {"rk4_steps": "15"}),
+        ("lattice_N", {"lattice_N": "1"}),
+        ("format", {"format": "xml"}),
+    ],
+)
+def test_rejected_key_is_named_in_the_error(key, flags):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(flags=flags)
+
+
+@pytest.mark.parametrize("command", ["bands", "gap"])
+def test_non_finite_theta_list_exits_2(command, capsys):
+    code, out, err = run_cli(capsys, command, "--n_k", "5", "--theta_list", "0,nan")
+    assert code == 2 and out == ""
+    assert "theta_list" in err
+
+
+def test_replace_checks_and_folds_like_parse_config():
+    cfg = parse_config()
+    assert replace(cfg, theta=-math.pi).theta == math.pi
+    assert replace(cfg, theta=-math.pi).lattice.theta == math.pi
+    assert replace(cfg, Gamma=0.25).bath.Gamma == 0.25
+    with pytest.raises(ConfigError, match="n_th"):
+        replace(cfg, n_th=-1.0)
+    with pytest.raises(ConfigError, match="theta_list"):
+        replace(cfg, theta_list=())
 
 
 # ------------------------------------------------------------- csv output
