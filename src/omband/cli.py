@@ -28,7 +28,6 @@ writes those rows as NaN, a trace exits 4.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -311,16 +310,8 @@ def parse_config(
 @dataclass(frozen=True)
 class OutputTable:
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: np.ndarray | list[tuple]  # 2-D floats; tuples for verify's string column
     metadata: dict[str, str]
-
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
 
 
 def _metadata(cfg: RunConfig) -> dict[str, str]:
@@ -342,7 +333,7 @@ def _csv_cell(value: object) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
+        return "%.17g" % value  # also "nan", "inf", "-inf"
     return str(value)
 
 
@@ -354,24 +345,45 @@ def _json_cell(value: object) -> str:
     return _csv_cell(value)
 
 
+# Rows per "%" call in emit: one call per block, not one per cell, while
+# a block's Python floats and template stay a few hundred kB.
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(rows: np.ndarray, row: str, sep: str) -> list[str]:
+    """Each block of ``rows`` as text: ``row`` per row, joined by ``sep``."""
+    blocks = (rows[i : i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+    return [sep.join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks]
+
+
 def emit(table: OutputTable, fmt: str) -> str:
     """Serialize a table to CSV or JSON text, byte-deterministically."""
+    numeric = isinstance(table.rows, np.ndarray)
+    cells = ",".join(["%.17g"] * len(table.columns))  # as _csv_cell writes a float
     if fmt == "csv":
         lines = [f"# {k} = {v}" for k, v in table.metadata.items()]
         lines.append(",".join(table.columns))
-        for row in table.rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        return "\n".join(lines) + "\n"
+        if numeric:
+            lines += _row_blocks(table.rows, cells, "\n")
+        else:
+            lines += (",".join(map(_csv_cell, row)) for row in table.rows)
+        lines.append("")  # the final newline, without copying the text again
+        return "\n".join(lines)
     if fmt == "json":
         meta = ",".join(
             f"{json.dumps(k)}:{json.dumps(v)}" for k, v in table.metadata.items()
         )
         cols = ",".join(json.dumps(c) for c in table.columns)
-        rows = ",".join(
-            "[" + ",".join(_json_cell(v) for v in row) + "]" for row in table.rows
-        )
-        return (
-            '{"metadata":{' + meta + '},"columns":[' + cols + '],"rows":[' + rows + "]}\n"
+        if numeric:
+            # JSON has no nan or inf, and a finite %.17g cell has no letter but e
+            rows = ",".join(
+                b.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+                for b in _row_blocks(table.rows, f"[{cells}]", ",")
+            )
+        else:
+            rows = ",".join("[" + ",".join(map(_json_cell, r)) + "]" for r in table.rows)
+        return "".join(
+            ('{"metadata":{', meta, '},"columns":[', cols, '],"rows":[', rows, "]}\n")
         )
     raise ConfigError(f"format: must be csv or json (got {fmt!r})")
 
@@ -379,16 +391,12 @@ def emit(table: OutputTable, fmt: str) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def _rows(*columns: np.ndarray) -> list[tuple]:
-    return list(zip(*(c.tolist() for c in columns)))
-
-
 def _band_table(cfg: RunConfig, first: int) -> OutputTable:
     """``band_scan`` columns from ``first`` on, after kd in units of pi."""
     scan = band_scan(cfg.lattice, cfg.n_k)
     return OutputTable(
         columns=("kd_over_pi", *BAND_SCAN_COLUMNS[first:]),
-        rows=_rows(scan[:, 0] / math.pi, *scan[:, first:].T),
+        rows=np.column_stack((scan[:, 0] / math.pi, scan[:, first:])),
         metadata=_metadata(cfg),
     )
 
@@ -403,13 +411,14 @@ def _cmd_weights(cfg: RunConfig) -> OutputTable:
 
 def _cmd_gap(cfg: RunConfig) -> OutputTable:
     kds = np.linspace(-math.pi, math.pi, cfg.n_k)
-    kd_over_pi = (kds / math.pi).tolist()
-    rows: list[tuple] = []
-    for theta in cfg.theta_list:
-        p = replace(cfg.lattice, theta=theta)
-        rows += zip(itertools.repeat(p.theta), kd_over_pi, gap_array(p, kds).tolist())
+    phases = [replace(cfg.lattice, theta=theta) for theta in cfg.theta_list]
+    theta = np.repeat([p.theta for p in phases], cfg.n_k)
+    kd_over_pi = np.tile(kds / math.pi, len(phases))
+    gaps = np.concatenate([gap_array(p, kds) for p in phases])
     return OutputTable(
-        columns=("theta", "kd_over_pi", "gap"), rows=rows, metadata=_metadata(cfg)
+        columns=("theta", "kd_over_pi", "gap"),
+        rows=np.column_stack((theta, kd_over_pi, gaps)),
+        metadata=_metadata(cfg),
     )
 
 
@@ -417,27 +426,17 @@ def _cmd_meanfield(cfg: RunConfig) -> OutputTable:
     sol = solve_meanfield(
         cfg.drive, tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping
     )
-    row = (
-        sol.alpha.real,
-        sol.alpha.imag,
-        sol.beta.real,
-        sol.beta.imag,
-        sol.g_enhanced,
-        sol.iterations,
-        sol.residual,
-    )
+    row = {
+        "alpha_re": sol.alpha.real,
+        "alpha_im": sol.alpha.imag,
+        "beta_re": sol.beta.real,
+        "beta_im": sol.beta.imag,
+        "g_enhanced": sol.g_enhanced,
+        "iterations": sol.iterations,  # "%.17g" % 12.0 == "12"
+        "residual": sol.residual,
+    }
     return OutputTable(
-        columns=(
-            "alpha_re",
-            "alpha_im",
-            "beta_re",
-            "beta_im",
-            "g_enhanced",
-            "iterations",
-            "residual",
-        ),
-        rows=[row],
-        metadata=_metadata(cfg),
+        columns=tuple(row), rows=np.array([list(row.values())]), metadata=_metadata(cfg)
     )
 
 
@@ -447,9 +446,14 @@ def _cmd_thermal(cfg: RunConfig) -> OutputTable:
     N_th_A, N_th_B = thermal_arrays(alpha_A, cfg.bath)
     return OutputTable(
         columns=("kd_over_pi", "alpha_A", "N_th_A", "N_th_B"),
-        rows=_rows(scan[:, 0] / math.pi, alpha_A, N_th_A, N_th_B),
+        rows=np.column_stack((scan[:, 0] / math.pi, alpha_A, N_th_A, N_th_B)),
         metadata=_metadata(cfg),
     )
+
+
+def _record_columns(records: list, *names: str) -> np.ndarray:
+    # one list per column: an array from one tuple per row peaks higher
+    return np.column_stack([[getattr(r, n) for r in records] for n in names])
 
 
 def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
@@ -463,7 +467,8 @@ def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
     records = quench_trace(
         p, kd, QuenchSchedule(g0=p.g, t_q=t_q), n_t=cfg.n_t, bath=cfg.bath
     )
-    rows = [(r.t / t_q, r.N_A, r.N_B, r.Nq_A, r.Nq_B) for r in records]
+    rows = _record_columns(records, "t", "N_A", "N_B", "Nq_A", "Nq_B")
+    rows[:, 0] /= t_q
     return OutputTable(
         columns=("t_over_tq", "N_A", "N_B", "Nq_A", "Nq_B"),
         rows=rows,
@@ -475,7 +480,8 @@ def _cmd_quench_scan(cfg: RunConfig) -> OutputTable:
     records = quench_scan(
         cfg.lattice, cfg.time_rule, n_k=cfg.n_k, bath=cfg.bath
     )
-    rows = [(r.kd / math.pi, r.Nq_A, r.Nq_B) for r in records]
+    rows = _record_columns(records, "kd", "Nq_A", "Nq_B")
+    rows[:, 0] /= math.pi
     return OutputTable(
         columns=("kd_over_pi", "Nq_A", "Nq_B"), rows=rows, metadata=_metadata(cfg)
     )
@@ -546,10 +552,9 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
 
 
 def _cmd_verify(cfg: RunConfig) -> OutputTable:
-    rows = [tuple(check) for check in _verify_checks(cfg)]
     return OutputTable(
         columns=("check", "value", "threshold", "passed"),
-        rows=rows,
+        rows=_verify_checks(cfg),
         metadata=_metadata(cfg),
     )
 

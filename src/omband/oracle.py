@@ -59,6 +59,11 @@ class IntegrationReport:
     warning: bool
 
 
+# RK4 steps whose coupling coefficients are computed together, out of the
+# step loop; a block holds 3 * _RK4_BLOCK coefficients per trajectory.
+_RK4_BLOCK = 16
+
+
 def _rk4_ramp(
     deltas: np.ndarray,
     t_finals: np.ndarray,
@@ -78,22 +83,21 @@ def _rk4_ramp(
     U = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
     h = 1.0 / n_steps
 
-    def rhs(frac: float, U: np.ndarray) -> np.ndarray:
-        g = g_of_frac(frac)
-        ph = np.exp(-2j * d * (frac * T))  # e^{-2 i delta t}
-        out = np.empty_like(U)
-        # -i T * (V U): V has -g*ph on (0,1) and -g*conj(ph) on (1,0)
-        out[:, 0, :] = 1j * T[:, None] * g * ph[:, None] * U[:, 1, :]
-        out[:, 1, :] = 1j * T[:, None] * g * np.conj(ph)[:, None] * U[:, 0, :]
-        return out
-
-    for step in range(n_steps):
-        f0 = step * h
-        k1 = rhs(f0, U)
-        k2 = rhs(f0 + 0.5 * h, U + 0.5 * h * k1)
-        k3 = rhs(f0 + 0.5 * h, U + 0.5 * h * k2)
-        k4 = rhs(f0 + h, U + h * k3)
-        U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for first in range(0, n_steps, _RK4_BLOCK):
+        # stage fractions f0, f0 + h/2, f0 + h of each step in the block
+        steps = range(first, min(first + _RK4_BLOCK, n_steps))
+        fracs = [f for s in steps for f in (s * h, s * h + 0.5 * h, s * h + h)]
+        g = np.array([g_of_frac(f) for f in fracs])[:, None, None]
+        ph = np.exp(-2j * d * (np.array(fracs)[:, None] * T))  # e^{-2 i delta t}
+        # -i T * (V U): V has -g*ph on (0,1) and -g*conj(ph) on (1,0), so
+        # row 0 of the derivative comes from row 1 of U and row 1 from row 0
+        coef = 1j * T[:, None] * g * np.stack((ph, np.conj(ph)), axis=-1)
+        for c0, c_half, c1 in coef.reshape(len(fracs) // 3, 3, m, 2, 1):
+            k1 = c0 * U[:, ::-1]
+            k2 = c_half * (U + 0.5 * h * k1)[:, ::-1]
+            k3 = c_half * (U + 0.5 * h * k2)[:, ::-1]
+            k4 = c1 * (U + h * k3)[:, ::-1]
+            U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return U
 
 
