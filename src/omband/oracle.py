@@ -9,8 +9,9 @@ Two deliberately independent routes are kept here:
 
 * the full ``2N x 2N`` real-space ring Hamiltonian at a commensurate
   drive phase ``theta = 2 pi m / N``, diagonalized by a hand-rolled
-  cyclic Jacobi sweep, whose spectrum must reproduce the two Bloch
-  bands sampled on ``kd_j = 2 pi j / N``.
+  cyclic Jacobi sweep that visits its pivots in round-robin order,
+  whose spectrum must reproduce the two Bloch bands sampled on
+  ``kd_j = 2 pi j / N``.
 
 Neither route shares code with the closed forms they check, and both
 stay that way on purpose.
@@ -60,7 +61,7 @@ class IntegrationReport:
 
 
 # RK4 steps whose coupling coefficients are computed together, out of the
-# step loop; a block holds 3 * _RK4_BLOCK coefficients per trajectory.
+# step loop; a block holds at most 3 * _RK4_BLOCK coefficients per trajectory.
 _RK4_BLOCK = 16
 
 
@@ -76,29 +77,54 @@ def _rk4_ramp(
     batch of trajectories with different durations shares one step loop.
     ``g_of_frac`` gives the coupling as a function of the fractional
     ramp position (the linear ramp is duration-independent in ``frac``).
+    Returns the propagators with shape ``(len(deltas), 2, 2)``.
     """
     d = np.asarray(deltas, dtype=float)
     T = np.asarray(t_finals, dtype=float)
     m = d.shape[0]
-    U = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
+    # U[row, col, trajectory]: the batch axis is last and contiguous, so
+    # each step operation is one ufunc call over it, into fixed buffers
+    U = np.zeros((2, 2, m), dtype=complex)
+    U[0, 0] = U[1, 1] = 1.0
+    k1, k2, k3, k4, y = np.empty((5, 2, 2, m), dtype=complex)
     h = 1.0 / n_steps
+    # the step's scalar factors, as the complex128 values numpy would make of them
+    half_h, full_h, two, sixth_h = np.array([0.5 * h, h, 2.0, h / 6.0], dtype=complex)
+    iT = 1j * T
 
     for first in range(0, n_steps, _RK4_BLOCK):
-        # stage fractions f0, f0 + h/2, f0 + h of each step in the block
-        steps = range(first, min(first + _RK4_BLOCK, n_steps))
-        fracs = [f for s in steps for f in (s * h, s * h + 0.5 * h, s * h + h)]
-        g = np.array([g_of_frac(f) for f in fracs])[:, None, None]
+        # stage fractions f0, f0 + h/2, f0 + h of each step in the block; a
+        # step's end is often the same float as the next step's start, so
+        # each distinct fraction gets its coefficient once
+        stages = [
+            (s * h, s * h + 0.5 * h, s * h + h)
+            for s in range(first, min(first + _RK4_BLOCK, n_steps))
+        ]
+        fracs = list(dict.fromkeys(f for stage in stages for f in stage))
+        slot = {f: i for i, f in enumerate(fracs)}
+        g = np.array([g_of_frac(f) for f in fracs])
         ph = np.exp(-2j * d * (np.array(fracs)[:, None] * T))  # e^{-2 i delta t}
         # -i T * (V U): V has -g*ph on (0,1) and -g*conj(ph) on (1,0), so
         # row 0 of the derivative comes from row 1 of U and row 1 from row 0
-        coef = 1j * T[:, None] * g * np.stack((ph, np.conj(ph)), axis=-1)
-        for c0, c_half, c1 in coef.reshape(len(fracs) // 3, 3, m, 2, 1):
-            k1 = c0 * U[:, ::-1]
-            k2 = c_half * (U + 0.5 * h * k1)[:, ::-1]
-            k3 = c_half * (U + 0.5 * h * k2)[:, ::-1]
-            k4 = c1 * (U + h * k3)[:, ::-1]
-            U = U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return U
+        iTg = iT * g[:, None]
+        coef = np.empty((len(fracs), 2, 1, m), dtype=complex)
+        np.multiply(iTg, ph, out=coef[:, 0, 0])
+        np.multiply(iTg, np.conj(ph), out=coef[:, 1, 0])
+        for f0, f_half, f1 in stages:
+            c_half = coef[slot[f_half]]
+            np.multiply(coef[slot[f0]], U[::-1], out=k1)
+            np.multiply(half_h, k1, out=y)
+            np.multiply(c_half, np.add(U, y, out=y)[::-1], out=k2)
+            np.multiply(half_h, k2, out=y)
+            np.multiply(c_half, np.add(U, y, out=y)[::-1], out=k3)
+            np.multiply(full_h, k3, out=y)
+            np.multiply(coef[slot[f1]], np.add(U, y, out=y)[::-1], out=k4)
+            # U + (h/6) * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.add(k1, np.multiply(two, k2, out=y), out=y)
+            np.add(y, np.multiply(two, k3, out=k2), out=y)
+            np.add(y, k4, out=y)
+            np.add(U, np.multiply(sixth_h, y, out=y), out=U)
+    return np.ascontiguousarray(U.transpose(2, 0, 1))
 
 
 def integrate_interaction_picture(
@@ -184,57 +210,97 @@ def _lattice_hamiltonian(p: LatticeParams, N: int) -> np.ndarray:
     return H
 
 
+def _round_robin(n: int) -> np.ndarray:
+    """Index orders of the rounds of one cyclic Jacobi sweep of size n.
+
+    Row r orders ``n + n % 2`` indices so that round r pivots on the
+    adjacent pairs ``(order[2p], order[2p + 1])``; for odd n, index n
+    stands in for the missing partner.  This is the circle method of a
+    round-robin tournament: index 0 stays put and the others rotate one
+    place per round, so the pairs of a round are disjoint and the rounds
+    of a sweep meet every pair once.
+    """
+    size = n + n % 2
+    ring = np.arange(size)
+    orders = np.empty((size - 1, size), dtype=int)
+    for order in orders:
+        order[0::2], order[1::2] = ring[: size // 2], ring[: size // 2 - 1 : -1]
+        ring[1:] = np.roll(ring[1:], 1)
+    return orders
+
+
 def _jacobi_eigvalsh(
     H: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60
 ) -> np.ndarray:
     """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi sweeps.
 
     Each pivot strips the phase off A[i,j], applies the classic
-    symmetric rotation, and forces the annihilated pair to exact zero.
-    Stops when the off-diagonal Frobenius mass drops below ``tol``
-    relative to the matrix norm.
+    symmetric rotation, and forces the annihilated pair to exact zero;
+    an exact-zero pivot gets the identity instead.  The pivots are
+    visited in round-robin order (Brent & Luk, SIAM J. Sci. Stat.
+    Comput. 6, 69 (1985)): a round's pairs are disjoint, so their
+    rotations commute and are applied together, with A held in the
+    round's order so each pair is adjacent.  Stops when the off-diagonal
+    Frobenius mass drops below ``tol`` relative to the matrix norm.
     """
-    A = np.array(H, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    H = np.asarray(H, dtype=complex)
+    n = H.shape[0]
+    if H.shape != (n, n):
         raise ValueError("matrix must be square")
-    if np.max(np.abs(A - A.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
+    if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(H))):
         raise ValueError("matrix must be Hermitian")
-    norm = max(float(np.linalg.norm(A)), np.finfo(float).tiny)
+    norm = max(float(np.linalg.norm(H)), np.finfo(float).tiny)
+
+    # odd n: a zero row and column pad the matrix; it pairs with no one
+    orders = _round_robin(n)
+    size = orders.shape[1]
+    A = np.zeros((size, size), dtype=complex)
+    A[:n, :n] = H
+    A = A[np.ix_(orders[0], orders[0])]
+    swap = np.empty_like(A)
+    # A in round r's order -> A in the next round's (the last wraps to the first)
+    steps = [np.argsort(o)[q] for o, q in zip(orders, np.roll(orders, -1, axis=0))]
+    flat = A.reshape(-1)
+    stride = 2 * size + 2
+    a_ii, a_ij = flat[::stride], flat[1::stride]
+    a_ji, a_jj = flat[size::stride], flat[size + 1 :: stride]
 
     for _ in range(max_sweeps):
         off = math.sqrt(
             max(float(np.sum(np.abs(A) ** 2) - np.sum(np.abs(np.diag(A)) ** 2)), 0.0)
         )
         if off <= tol * norm:
-            return np.sort(np.real(np.diag(A)))
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                b = A[i, j]
-                ab = abs(b)
-                if ab == 0.0:
-                    continue
-                phase = b / ab  # e^{i phi}
-                tau = (A[j, j].real - A[i, i].real) / (2.0 * ab)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- V^dag A V with V = diag(1, e^{-i phi}) . rotation(c, s)
-                col_i = A[:, i].copy()
-                col_j = A[:, j].copy()
-                A[:, i] = c * col_i - s * np.conj(phase) * col_j
-                A[:, j] = s * col_i + c * np.conj(phase) * col_j
-                row_i = A[i, :].copy()
-                row_j = A[j, :].copy()
-                A[i, :] = c * row_i - s * phase * row_j
-                A[j, :] = s * row_i + c * phase * row_j
-                A[i, j] = 0.0
-                A[j, i] = 0.0
-                A[i, i] = A[i, i].real
-                A[j, j] = A[j, j].real
+            return np.sort(np.real(np.diag(A))[orders[0] < n])
+        for step in steps:
+            ab = np.abs(a_ij)
+            dead = ab == 0.0  # exact-zero pivots: t = 0 and phase = 1 below
+            ab[dead] = 1.0
+            phase = a_ij / ab  # e^{i phi}
+            # t = sign(tau) / (|tau| + sqrt(1 + tau^2)) with tau = diff / (2|b|),
+            # multiplied through by 2|b| so that nothing can overflow
+            diff = a_jj.real - a_ii.real
+            two_b = 2.0 * ab
+            t = np.where(diff >= 0.0, two_b, -two_b)
+            t /= np.abs(diff) + np.hypot(diff, two_b)
+            t[dead] = 0.0
+            phase[dead] = 1.0
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            # A <- V^dag A V with V = diag(1, e^{-i phi}) . rotation(c, s)
+            col_i = A[:, 0::2].copy()
+            col_j = A[:, 1::2]
+            cq, sq = c * np.conj(phase), s * np.conj(phase)
+            np.subtract(c * col_i, sq * col_j, out=A[:, 0::2])
+            np.add(s * col_i, cq * col_j, out=col_j)
+            row_i = A[0::2].copy()
+            row_j = A[1::2]
+            cp, sp = (c * phase)[:, None], (s * phase)[:, None]
+            np.subtract(c[:, None] * row_i, sp * row_j, out=A[0::2])
+            np.add(s[:, None] * row_i, cp * row_j, out=row_j)
+            a_ij[:] = a_ji[:] = 0.0
+            a_ii.imag = a_jj.imag = 0.0
+            np.take(A, step, axis=0, out=swap)
+            np.take(swap, step, axis=1, out=A)
     raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
 
 
