@@ -1,11 +1,15 @@
-"""Per-layer timings of the ``bands`` table and of ``verify``'s oracles.
+"""Per-layer timings of config parsing, the tables and ``verify``'s oracles.
 
 The ``bands`` layers, at n_k = 512, 4096 and 32768, are ``band_scan``
 (the array kernel), the table build (``run_command``) and ``emit`` to CSV
-and to JSON.  The oracle layers are ``_rk4_ramp`` at verify's own batch
-(the 256 gapped points of its four phases, 1024 steps),
-``finite_lattice_spectrum`` at N = 8 and 24 cells, and the whole
-``verify`` table build.  Run from a checkout:
+and to JSON.  ``emit`` is also timed on the largest ``zone-tables`` table
+(``gap`` at n_k = 32768, five phases) and on ``quench-trace`` at
+n_t = 4096, whose tiny populations fall outside the formatter's fast
+range.  ``parse_config`` is timed on the flags of a benchmark invocation.
+The oracle layers are ``_rk4_ramp`` at verify's own batch (the 256 gapped
+points of its four phases, 1024 steps), ``finite_lattice_spectrum`` at
+N = 8 and 24 cells, and the whole ``verify`` table build.  Run from a
+checkout:
 
     python -m pytest bench --benchmark-json=bench.json
 
@@ -54,6 +58,26 @@ def test_bands_table(bench, n_k):
 def test_emit_bands(bench, n_k, fmt):
     table = run_command(parse_config(None, {"n_k": str(n_k)}), "bands")
     bench(emit, table, fmt)
+
+
+GAP_FLAGS = {"n_k": "32768", "theta_list": "0,0.25pi,0.5pi,0.8pi,pi"}
+TRACE_FLAGS = {"n_t": "4096", "J": "0.043", "K": "0.0013", "g": "0.086", "kd_over_pi": "0.1"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command, flags", [("gap", GAP_FLAGS), ("quench-trace", TRACE_FLAGS)], ids=["gap", "trace"]
+)
+def test_emit_table(bench, command, flags, fmt):
+    table = run_command(parse_config(None, flags), command)
+    bench(emit, table, fmt)
+
+
+def test_parse_config(bench):
+    # the flags of a narrow-band fixed-ramp quench-scan in ramp-verify
+    flags = {"n_k": "4096", "J": "0.043", "K": "0.0013", "g": "0.086",
+             "theta": "0.8pi", "tq_mode": "fixed", "tq_value": "1", "format": "json"}
+    bench(parse_config, None, flags)
 
 
 def test_rk4_verify_batch(bench):

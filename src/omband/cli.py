@@ -42,6 +42,7 @@ from .bands import (
     band_scan,
     gap_array,
 )
+from .fmt17 import row_blocks
 from .meanfield import (
     DriveParams,
     MeanFieldConvergenceError,
@@ -345,47 +346,27 @@ def _json_cell(value: object) -> str:
     return _csv_cell(value)
 
 
-# Rows per "%" call in emit: one call per block, not one per cell, while
-# a block's Python floats and template stay a few hundred kB.
+# Rows per string in emit's output: fmt17 fills each in passes of a few
+# thousand cells, so its temporaries stay smaller than the strings kept.
 _BLOCK_ROWS = 4096
-
-
-def _row_blocks(rows: np.ndarray, row: str, sep: str) -> list[str]:
-    """Each block of ``rows`` as text: ``row`` per row, joined by ``sep``."""
-    blocks = (rows[i : i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
-    return [sep.join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks]
 
 
 def emit(table: OutputTable, fmt: str) -> str:
     """Serialize a table to CSV or JSON text, byte-deterministically."""
-    numeric = isinstance(table.rows, np.ndarray)
-    cells = ",".join(["%.17g"] * len(table.columns))  # as _csv_cell writes a float
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format: must be csv or json (got {fmt!r})")
+    if isinstance(table.rows, np.ndarray):
+        body = row_blocks(table.rows, _BLOCK_ROWS, fmt)
+    elif fmt == "csv":
+        body = ["".join(",".join(map(_csv_cell, row)) + "\n" for row in table.rows)]
+    else:
+        body = [",".join("[" + ",".join(map(_json_cell, r)) + "]" for r in table.rows)]
     if fmt == "csv":
-        lines = [f"# {k} = {v}" for k, v in table.metadata.items()]
-        lines.append(",".join(table.columns))
-        if numeric:
-            lines += _row_blocks(table.rows, cells, "\n")
-        else:
-            lines += (",".join(map(_csv_cell, row)) for row in table.rows)
-        lines.append("")  # the final newline, without copying the text again
-        return "\n".join(lines)
-    if fmt == "json":
-        meta = ",".join(
-            f"{json.dumps(k)}:{json.dumps(v)}" for k, v in table.metadata.items()
-        )
-        cols = ",".join(json.dumps(c) for c in table.columns)
-        if numeric:
-            # JSON has no nan or inf, and a finite %.17g cell has no letter but e
-            rows = ",".join(
-                b.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
-                for b in _row_blocks(table.rows, f"[{cells}]", ",")
-            )
-        else:
-            rows = ",".join("[" + ",".join(map(_json_cell, r)) + "]" for r in table.rows)
-        return "".join(
-            ('{"metadata":{', meta, '},"columns":[', cols, '],"rows":[', rows, "]}\n")
-        )
-    raise ConfigError(f"format: must be csv or json (got {fmt!r})")
+        head = [f"# {k} = {v}\n" for k, v in table.metadata.items()]
+        return "".join((*head, ",".join(table.columns), "\n", *body))
+    meta = ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in table.metadata.items())
+    cols = ",".join(json.dumps(c) for c in table.columns)
+    return "".join(('{"metadata":{', meta, '},"columns":[', cols, '],"rows":[', *body, "]}\n"))
 
 
 # ---------------------------------------------------------------- commands
