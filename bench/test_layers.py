@@ -2,7 +2,10 @@
 
 The ``bands`` layers, at n_k = 512, 4096 and 32768, are ``band_scan``
 (the array kernel), the table build (``run_command``) and ``emit`` to CSV
-and to JSON.  ``emit`` is also timed on the largest ``zone-tables`` table
+and to JSON.  At the same sizes the quench layers are ``propagator_array``
+(the Magnus integrals and the 2x2 propagators at a scan's ramp times) and
+the ``quench-scan`` table build; the ``quench-trace`` table build is timed
+at n_t = 4096.  ``emit`` is also timed on the largest ``zone-tables`` table
 (``gap`` at n_k = 32768, five phases) and on ``quench-trace`` at
 n_t = 4096, whose tiny populations fall outside the formatter's fast
 range.  ``parse_config`` is timed on the flags of a benchmark invocation.
@@ -29,6 +32,7 @@ from omband.bands import band_scan, gap_array
 from omband.cli import emit, parse_config, run_command
 from omband.model import coeff_arrays
 from omband.oracle import _rk4_ramp, finite_lattice_spectrum
+from omband.quench import propagator_array
 
 SIZES = (512, 4096, 32768)
 
@@ -60,6 +64,20 @@ def test_emit_bands(bench, n_k, fmt):
     bench(emit, table, fmt)
 
 
+@pytest.mark.parametrize("n_k", SIZES)
+def test_propagator_array(bench, n_k):
+    # a default quench-scan's inputs: per-k ramp times 1e-4 / gap, at t = t_q
+    p = parse_config().lattice
+    kds = np.linspace(-math.pi, math.pi, n_k)
+    t_q = 1e-4 / gap_array(p, kds)
+    bench(propagator_array, p.g, coeff_arrays(p, kds)[2], t_q, t_q)
+
+
+@pytest.mark.parametrize("n_k", SIZES)
+def test_quench_scan_table(bench, n_k):
+    bench(run_command, parse_config(None, {"n_k": str(n_k)}), "quench-scan")
+
+
 GAP_FLAGS = {"n_k": "32768", "theta_list": "0,0.25pi,0.5pi,0.8pi,pi"}
 TRACE_FLAGS = {"n_t": "4096", "J": "0.043", "K": "0.0013", "g": "0.086", "kd_over_pi": "0.1"}
 
@@ -71,6 +89,10 @@ TRACE_FLAGS = {"n_t": "4096", "J": "0.043", "K": "0.0013", "g": "0.086", "kd_ove
 def test_emit_table(bench, command, flags, fmt):
     table = run_command(parse_config(None, flags), command)
     bench(emit, table, fmt)
+
+
+def test_quench_trace_table(bench):
+    bench(run_command, parse_config(None, TRACE_FLAGS), "quench-trace")
 
 
 def test_parse_config(bench):

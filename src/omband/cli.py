@@ -22,7 +22,8 @@ digits and nothing time- or host-dependent is emitted.
 Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 3 non-convergence, 4 degenerate point, 5 I/O error.  A zero gap under
 ``tq_mode`` per-k or global-min leaves the ramp time undefined: a scan
-writes those rows as NaN, a trace exits 4.
+writes those rows as NaN, a trace exits 4.  A nonzero gap whose
+``tq_scale / gap`` overflows exits 2.
 """
 
 from __future__ import annotations
@@ -57,20 +58,21 @@ from .oracle import (
     finite_lattice_spectrum,
 )
 from .quench import (
+    QUENCH_COLUMNS,
     BathParams,
     QuenchSchedule,
     QuenchTimeRule,
     SingularBathError,
     propagator_array,
-    quench_scan,
-    quench_trace,
+    quench_scan_array,
+    quench_trace_array,
     ramp_times,
     thermal_arrays,
 )
 
 # perfbench/tracer.py rebinds these names in this module; keep them importable.
 from .bands import gap, gap_extrema, hybrid_basis  # noqa: F401
-from .quench import magnus_propagator, thermal_populations  # noqa: F401
+from .quench import magnus_propagator, quench_scan, quench_trace, thermal_populations  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "OutputTable", "parse_config", "run_command", "emit", "main"]
 
@@ -432,11 +434,6 @@ def _cmd_thermal(cfg: RunConfig) -> OutputTable:
     )
 
 
-def _record_columns(records: list, *names: str) -> np.ndarray:
-    # one list per column: an array from one tuple per row peaks higher
-    return np.column_stack([[getattr(r, n) for r in records] for n in names])
-
-
 def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
     p = cfg.lattice
     kd = cfg.kd_over_pi * math.pi
@@ -445,26 +442,20 @@ def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
         raise DegeneratePointError(
             f"gap vanishes (kd={kd!r}); no finite ramp time under tq_mode={cfg.tq_mode}"
         )
-    records = quench_trace(
-        p, kd, QuenchSchedule(g0=p.g, t_q=t_q), n_t=cfg.n_t, bath=cfg.bath
-    )
-    rows = _record_columns(records, "t", "N_A", "N_B", "Nq_A", "Nq_B")
-    rows[:, 0] /= t_q
+    trace = quench_trace_array(p, kd, QuenchSchedule(p.g, t_q), n_t=cfg.n_t, bath=cfg.bath)
     return OutputTable(
-        columns=("t_over_tq", "N_A", "N_B", "Nq_A", "Nq_B"),
-        rows=rows,
+        columns=("t_over_tq", *QUENCH_COLUMNS[2:]),
+        rows=np.column_stack((trace[:, 1] / t_q, trace[:, 2:])),
         metadata=_metadata(cfg),
     )
 
 
 def _cmd_quench_scan(cfg: RunConfig) -> OutputTable:
-    records = quench_scan(
-        cfg.lattice, cfg.time_rule, n_k=cfg.n_k, bath=cfg.bath
-    )
-    rows = _record_columns(records, "kd", "Nq_A", "Nq_B")
-    rows[:, 0] /= math.pi
+    scan = quench_scan_array(cfg.lattice, cfg.time_rule, n_k=cfg.n_k, bath=cfg.bath)
     return OutputTable(
-        columns=("kd_over_pi", "Nq_A", "Nq_B"), rows=rows, metadata=_metadata(cfg)
+        columns=("kd_over_pi", *QUENCH_COLUMNS[4:]),
+        rows=np.column_stack((scan[:, 0] / math.pi, scan[:, 4:])),
+        metadata=_metadata(cfg),
     )
 
 
@@ -630,6 +621,9 @@ def main(argv: list[str] | None = None) -> int:
     except DegeneratePointError as exc:
         print(f"omband: degenerate point: {exc}", file=sys.stderr)
         return 4
+    except OverflowError as exc:  # from ramp_times: tq_scale / gap overflows
+        print(f"omband: config error: tq_scale: {exc}", file=sys.stderr)
+        return 2
     except (CommensurabilityError, SingularBathError, SingularParameterError) as exc:
         print(f"omband: config error: {exc}", file=sys.stderr)
         return 2

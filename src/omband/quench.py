@@ -28,8 +28,10 @@ thermal reference so that an adiabatic sweep yields zero.
 
 Every formula is evaluated elementwise over arrays of ``kd`` (a scan) or
 ``t`` (a trace); the scalar functions are thin wrappers over the same
-array code.  :func:`ramp_times` is the one rule that turns a
-:class:`QuenchTimeRule` into ramp durations for both.
+array code.  A scan or a trace is one 2-D array with columns
+:data:`QUENCH_COLUMNS`; :func:`quench_scan` and :func:`quench_trace` wrap
+its rows as :class:`QuenchRecord` lists.  :func:`ramp_times` is the one
+rule that turns a :class:`QuenchTimeRule` into ramp durations for both.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "QuenchRecord",
     "QuenchTimeRule",
     "MAGNUS_SERIES_CROSSOVER",
+    "QUENCH_COLUMNS",
     "DEFAULT_BATH",
     "coupling_schedule",
     "thermal_populations",
@@ -61,6 +64,8 @@ __all__ = [
     "magnus_terms",
     "magnus_propagator",
     "propagator_array",
+    "quench_scan_array",
+    "quench_trace_array",
     "quench_map",
     "mode_populations",
     "net_excitations",
@@ -75,6 +80,9 @@ __all__ = [
 MAGNUS_SERIES_CROSSOVER = 0.5
 
 _SERIES_TERMS = 26  # |2 delta t| <= 0.5 -> last term < 1e-30 relative
+
+#: Columns of :func:`quench_scan_array` and :func:`quench_trace_array`.
+QUENCH_COLUMNS = ("kd", "t", "N_A", "N_B", "Nq_A", "Nq_B")
 
 
 @dataclass(frozen=True)
@@ -322,8 +330,8 @@ def magnus_phi(g0: float, delta_half: float, t_q: float, t: float) -> float:
 
 def magnus_terms(g0: float, delta_half: float, t_q: float, t: float) -> MagnusTerms:
     """Evaluate theta, phi, eta and the polynomial phi grouping in one call."""
-    theta = magnus_theta(g0, delta_half, t_q, t)
-    phi = magnus_phi(g0, delta_half, t_q, t)
+    _check_ramp_args(g0, delta_half, t_q, t)
+    theta, phi = (x.item() for x in _magnus_arrays(g0, delta_half, t_q, t))
     zeta = float(_phi_groupings(delta_half, t_q, t)[1])
     eta = math.hypot(abs(theta), phi)
     return MagnusTerms(theta_M=theta, phi_M=phi, eta=eta, zeta_M=zeta)
@@ -411,15 +419,16 @@ class QuenchRecord:
     Nq_B: float
 
 
-def quench_trace(
+def quench_trace_array(
     p: LatticeParams,
     kd: float,
     s: QuenchSchedule,
     n_t: int = 512,
     bath: BathParams = DEFAULT_BATH,
-) -> list[QuenchRecord]:
+) -> np.ndarray:
     """Populations along the ramp at fixed ``kd``, on ``n_t`` times in [0, t_q].
 
+    Returns an ``(n_t, 6)`` array with columns :data:`QUENCH_COLUMNS`.
     The initial state is thermal and diagonal in the hybrid basis of the
     pre-ramp coupling ``s.g0``; that same reference is subtracted at all
     later times.  Raises :class:`DegeneratePointError` if the hybrid
@@ -432,8 +441,14 @@ def quench_trace(
     pops = _populations(M, *thermal_arrays(alpha_A, bath), bath.n_th)
     if np.isnan(pops[0]).any():
         raise DegeneratePointError.at(kd)
-    rows = zip(t.tolist(), *(x.tolist() for x in pops))
-    return [QuenchRecord(kd, *row) for row in rows]
+    return np.column_stack((np.full(n_t, kd), t, *pops))
+
+
+def quench_trace(
+    p: LatticeParams, kd: float, s: QuenchSchedule, n_t: int = 512, bath: BathParams = DEFAULT_BATH
+) -> list[QuenchRecord]:
+    """:func:`quench_trace_array` as one record per row."""
+    return [QuenchRecord(*row) for row in quench_trace_array(p, kd, s, n_t, bath).tolist()]
 
 
 @dataclass(frozen=True)
@@ -465,7 +480,8 @@ def ramp_times(p: LatticeParams, rule: QuenchTimeRule, kd: np.ndarray) -> np.nda
 
     NaN where the reference gap -- the local gap for "per-k", the
     minimum from :func:`gap_extrema` for "global-min" -- is zero, since
-    no finite ramp time exists there.
+    no finite ramp time exists there.  Raises OverflowError where a
+    nonzero gap gets an infinite ``scale / gap``.
     """
     kd = np.asarray(kd, dtype=float)
     if rule.mode == "fixed":
@@ -475,20 +491,24 @@ def ramp_times(p: LatticeParams, rule: QuenchTimeRule, kd: np.ndarray) -> np.nda
     else:
         least = min(e.value for e in gap_extrema(p) if e.kind != "maximum")
         ref = np.full(kd.shape, least)
-    with np.errstate(divide="ignore"):
-        return np.where(ref > 0.0, rule.scale / ref, math.nan)
+    with np.errstate(divide="ignore", over="ignore"):
+        t_q = np.where(ref > 0.0, rule.scale / ref, math.nan)
+    if np.isinf(t_q).any():
+        raise OverflowError(f"scale / gap overflows to inf (scale={rule.scale!r})")
+    return t_q
 
 
-def quench_scan(
+def quench_scan_array(
     p: LatticeParams,
     rule: QuenchTimeRule,
     theta: float | None = None,
     n_k: int = 512,
     *,
     bath: BathParams = DEFAULT_BATH,
-) -> list[QuenchRecord]:
+) -> np.ndarray:
     """End-of-ramp excitations across the zone, ``g0 = p.g``.
 
+    Returns an ``(n_k, 6)`` array with columns :data:`QUENCH_COLUMNS`.
     ``theta`` overrides ``p.theta`` when given (convenient for phase
     sweeps).  Rows are in ascending ``kd`` on an inclusive [-pi, pi]
     grid, with ``t`` the ramp time from :func:`ramp_times`.  A row with
@@ -503,9 +523,15 @@ def quench_scan(
     kd = np.linspace(-math.pi, math.pi, n_k)
     t_q = ramp_times(p, rule, kd)
     ok = np.isfinite(t_q)
-    pops = [np.full(n_k, math.nan) for _ in range(4)]
+    out = np.column_stack((kd, t_q, np.full((n_k, len(QUENCH_COLUMNS) - 2), math.nan)))
     M, alpha_A = _ramp_map(coeff_arrays(p, kd[ok])[2], p.g, t_q[ok], t_q[ok])
-    for col, x in zip(pops, _populations(M, *thermal_arrays(alpha_A, bath), bath.n_th)):
-        col[ok] = x
-    rows = zip(kd.tolist(), t_q.tolist(), *(x.tolist() for x in pops))
-    return [QuenchRecord(*row) for row in rows]
+    out[ok, 2:] = np.column_stack(_populations(M, *thermal_arrays(alpha_A, bath), bath.n_th))
+    return out
+
+
+def quench_scan(
+    p: LatticeParams, rule: QuenchTimeRule, theta: float | None = None, n_k: int = 512,
+    *, bath: BathParams = DEFAULT_BATH,
+) -> list[QuenchRecord]:
+    """:func:`quench_scan_array` as one record per row."""
+    return [QuenchRecord(*r) for r in quench_scan_array(p, rule, theta, n_k, bath=bath).tolist()]

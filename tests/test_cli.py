@@ -406,6 +406,14 @@ def test_degenerate_ramp_time_exits_4(capsys):
     assert "degenerate" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["quench-scan", "quench-trace"])
+def test_overflowing_ramp_time_exits_2(command, capsys):
+    # tq_scale / gap overflows to inf at a nonzero gap: a bad tq_scale, not g = 0
+    code, out, err = run_cli(capsys, command, "--tq_scale", "1e308", "--n_k", "33")
+    assert code == 2 and out == ""
+    assert "config error" in err and "tq_scale" in err
+
+
 def console_command():
     """The command, and its environment, that runs the `omband` entry point.
 

@@ -6,7 +6,7 @@ invariants (unitarity, conservation, n_th scaling).
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from omband import (
     MAGNUS_SERIES_CROSSOVER,
     BathParams,
     LatticeParams,
+    QuenchRecord,
     QuenchSchedule,
     QuenchTimeRule,
     SingularBathError,
@@ -36,7 +37,16 @@ from omband import (
     quench_trace,
     thermal_populations,
 )
-from omband.quench import _phi_closed, _phi_series, _theta_closed, _theta_series
+from omband.quench import (
+    QUENCH_COLUMNS,
+    _phi_closed,
+    _phi_series,
+    _theta_closed,
+    _theta_series,
+    quench_scan_array,
+    quench_trace_array,
+    ramp_times,
+)
 
 # one sudden-ramp instance, frozen when the closed forms were first
 # validated against quadrature (g0=0.1, kd=0.48pi of the default set)
@@ -360,3 +370,44 @@ def test_time_rule_validation():
         QuenchTimeRule(scale=0.0)
     with pytest.raises(ValueError):
         quench_scan(LatticeParams(), QuenchTimeRule(), n_k=1)
+
+
+TIME_RULES = [
+    QuenchTimeRule(),
+    QuenchTimeRule(mode="global-min", scale=1e-3),
+    QuenchTimeRule(mode="fixed", t_q=0.5),
+]
+
+
+def record_table(records):
+    """The records as rows of their fields, in QUENCH_COLUMNS order."""
+    return [[getattr(r, name) for name in QUENCH_COLUMNS] for r in records]
+
+
+def test_quench_columns_are_the_record_fields():
+    assert QUENCH_COLUMNS == tuple(f.name for f in fields(QuenchRecord))
+
+
+@pytest.mark.parametrize("rule", TIME_RULES, ids=lambda r: r.mode)
+@pytest.mark.parametrize("g", [0.1, 0.0], ids=["wide", "g0"])
+def test_scan_array_matches_records(g, rule):
+    p = LatticeParams(g=g)
+    scan = quench_scan_array(p, rule, n_k=33)
+    assert scan.shape == (33, len(QUENCH_COLUMNS)) and scan.dtype == np.float64
+    kd = np.linspace(-math.pi, math.pi, 33)
+    np.testing.assert_array_equal(scan[:, :2], np.column_stack((kd, ramp_times(p, rule, kd))))
+    # the g = 0 lattice has zero-gap or degenerate rows, NaN-filled
+    assert np.isnan(scan).any() == (g == 0.0)
+    np.testing.assert_array_equal(scan, record_table(quench_scan(p, rule, n_k=33)))
+
+
+@pytest.mark.parametrize("rule", TIME_RULES, ids=lambda r: r.mode)
+@pytest.mark.parametrize("params", ["hopping_dominated", "coupling_dominated"])
+def test_trace_array_matches_records(params, rule, request):
+    p = request.getfixturevalue(params)
+    kd = 0.48 * math.pi
+    s = QuenchSchedule(g0=p.g, t_q=float(ramp_times(p, rule, kd)))
+    trace = quench_trace_array(p, kd, s, n_t=33)
+    assert trace.shape == (33, len(QUENCH_COLUMNS))
+    assert np.all(trace[:, 0] == kd) and trace[-1, 1] == s.t_q
+    np.testing.assert_array_equal(trace, record_table(quench_trace(p, kd, s, n_t=33)))
