@@ -8,7 +8,9 @@ the ``quench-scan`` table build; the ``quench-trace`` table build is timed
 at n_t = 4096.  ``emit`` is also timed on the largest ``zone-tables`` table
 (``gap`` at n_k = 32768, five phases) and on ``quench-trace`` at
 n_t = 4096, whose tiny populations fall outside the formatter's fast
-range.  ``parse_config`` is timed on the flags of a benchmark invocation.
+range.  The file write is ``write_table`` of that ``gap`` table into a
+fresh file, opened and closed as ``main`` does for ``--out``.
+``parse_config`` is timed on the flags of a benchmark invocation.
 The oracle layers are ``_rk4_ramp`` at verify's own batch (the 256 gapped
 points of its four phases, 1024 steps), ``finite_lattice_spectrum`` at
 N = 8 and 24 cells, and the whole ``verify`` table build.  Run from a
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 
 from omband.bands import band_scan, gap_array
-from omband.cli import emit, parse_config, run_command
+from omband.cli import emit, parse_config, run_command, write_table
 from omband.model import coeff_arrays
 from omband.oracle import _rk4_ramp, finite_lattice_spectrum
 from omband.quench import propagator_array
@@ -89,6 +91,18 @@ TRACE_FLAGS = {"n_t": "4096", "J": "0.043", "K": "0.0013", "g": "0.086", "kd_ove
 def test_emit_table(bench, command, flags, fmt):
     table = run_command(parse_config(None, flags), command)
     bench(emit, table, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table(bench, tmp_path, fmt):
+    table = run_command(parse_config(None, GAP_FLAGS), "gap")
+    path = tmp_path / f"gap.{fmt}"
+
+    def write():
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_table(table, fmt, fh)
+
+    bench(write)
 
 
 def test_quench_trace_table(bench):

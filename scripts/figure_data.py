@@ -9,7 +9,7 @@ metadata block and can be reproduced with ``omband <cmd> --config``.
 import argparse
 import pathlib
 
-from omband.cli import emit, parse_config, run_command
+from omband.cli import parse_config, run_command, write_table
 
 WIDE = {}  # package defaults: J, K well above g
 NARROW = {"J": "0.043", "K": "0.0013", "g": "0.086"}
@@ -22,7 +22,8 @@ def write(outdir: pathlib.Path, name: str, command: str, flags: dict, fmt: str) 
     table = run_command(cfg, command)
     ext = "csv" if fmt == "csv" else "json"
     path = outdir / f"{name}.{ext}"
-    path.write_text(emit(table, fmt), encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        write_table(table, fmt, fh)
     print(f"wrote {path} ({len(table.rows)} rows)")
 
 

@@ -23,7 +23,9 @@ Exit codes: 0 success, 1 failed verification, 2 bad configuration,
 3 non-convergence, 4 degenerate point, 5 I/O error.  A zero gap under
 ``tq_mode`` per-k or global-min leaves the ramp time undefined: a scan
 writes those rows as NaN, a trace exits 4.  A nonzero gap whose
-``tq_scale / gap`` overflows exits 2.
+``tq_scale / gap`` overflows exits 2, and so does a ramp time so long
+that the propagator's closed forms overflow (a bad ``tq_value`` in fixed
+mode, a bad ``tq_scale`` otherwise).
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .bands import (
     band_scan,
     gap_array,
 )
-from .fmt17 import row_blocks
+from .fmt17 import iter_row_blocks
 from .meanfield import (
     DriveParams,
     MeanFieldConvergenceError,
@@ -74,7 +78,10 @@ from .quench import (
 from .bands import gap, gap_extrema, hybrid_basis  # noqa: F401
 from .quench import magnus_propagator, quench_scan, quench_trace, thermal_populations  # noqa: F401
 
-__all__ = ["ConfigError", "RunConfig", "OutputTable", "parse_config", "run_command", "emit", "main"]
+__all__ = [
+    "ConfigError", "RunConfig", "OutputTable", "parse_config", "run_command", "emit",
+    "write_table", "main",
+]
 
 _ALIASES = {"gamma_m": "Gamma"}
 
@@ -348,27 +355,46 @@ def _json_cell(value: object) -> str:
     return _csv_cell(value)
 
 
-# Rows per string in emit's output: fmt17 fills each in passes of a few
-# thousand cells, so its temporaries stay smaller than the strings kept.
+# Rows per block of output: fmt17 fills each in passes of a few thousand
+# cells, so its temporaries stay smaller than the block.
 _BLOCK_ROWS = 4096
+
+
+def _pieces(table: OutputTable, fmt: str) -> Iterator[str]:
+    """The table's text in order: the header, the body in blocks of
+    ``_BLOCK_ROWS`` rows, then the trailer.  A bad ``fmt`` raises
+    ConfigError at the first step, before anything is yielded."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format: must be csv or json (got {fmt!r})")
+    if fmt == "csv":
+        head = "".join(f"# {k} = {v}\n" for k, v in table.metadata.items())
+        yield head + ",".join(table.columns) + "\n"
+    else:
+        meta = ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in table.metadata.items())
+        cols = ",".join(json.dumps(c) for c in table.columns)
+        yield '{"metadata":{' + meta + '},"columns":[' + cols + '],"rows":['
+    if isinstance(table.rows, np.ndarray):
+        yield from iter_row_blocks(table.rows, _BLOCK_ROWS, fmt)
+    elif fmt == "csv":
+        yield "".join(",".join(map(_csv_cell, row)) + "\n" for row in table.rows)
+    else:
+        yield ",".join("[" + ",".join(map(_json_cell, r)) + "]" for r in table.rows)
+    if fmt == "json":
+        yield "]}\n"
 
 
 def emit(table: OutputTable, fmt: str) -> str:
     """Serialize a table to CSV or JSON text, byte-deterministically."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json (got {fmt!r})")
-    if isinstance(table.rows, np.ndarray):
-        body = row_blocks(table.rows, _BLOCK_ROWS, fmt)
-    elif fmt == "csv":
-        body = ["".join(",".join(map(_csv_cell, row)) + "\n" for row in table.rows)]
-    else:
-        body = [",".join("[" + ",".join(map(_json_cell, r)) + "]" for r in table.rows)]
-    if fmt == "csv":
-        head = [f"# {k} = {v}\n" for k, v in table.metadata.items()]
-        return "".join((*head, ",".join(table.columns), "\n", *body))
-    meta = ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in table.metadata.items())
-    cols = ",".join(json.dumps(c) for c in table.columns)
-    return "".join(('{"metadata":{', meta, '},"columns":[', cols, '],"rows":[', *body, "]}\n"))
+    return "".join(_pieces(table, fmt))
+
+
+def write_table(table: OutputTable, fmt: str, fh: TextIO) -> int:
+    """Write :func:`emit`'s text to ``fh`` one block at a time, so that no
+    more than one block is held; returns the number of characters written.
+    A bad ``fmt`` raises ConfigError before anything is written."""
+    # map drops each piece once written; a for loop would still hold it
+    # while the next block is formatted
+    return sum(map(fh.write, _pieces(table, fmt)))
 
 
 # ---------------------------------------------------------------- commands
@@ -599,13 +625,12 @@ def main(argv: list[str] | None = None) -> int:
             print("omband: verify passed", file=sys.stderr)
 
         table = run_command(cfg, args.command)
-        text = emit(table, cfg.format)
         if cfg.out == "-":
-            sys.stdout.write(text)
+            write_table(table, cfg.format, sys.stdout)
         else:
             try:
                 with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
+                    write_table(table, cfg.format, fh)
             except OSError as exc:
                 print(f"omband: cannot write output: {exc}", file=sys.stderr)
                 return 5
@@ -621,8 +646,9 @@ def main(argv: list[str] | None = None) -> int:
     except DegeneratePointError as exc:
         print(f"omband: degenerate point: {exc}", file=sys.stderr)
         return 4
-    except OverflowError as exc:  # from ramp_times: tq_scale / gap overflows
-        print(f"omband: config error: tq_scale: {exc}", file=sys.stderr)
+    except OverflowError as exc:  # the ramp time overflows, or the closed forms at it
+        key = "tq_value" if cfg.tq_mode == "fixed" else "tq_scale"
+        print(f"omband: config error: {key}: {exc}", file=sys.stderr)
         return 2
     except (CommensurabilityError, SingularBathError, SingularParameterError) as exc:
         print(f"omband: config error: {exc}", file=sys.stderr)

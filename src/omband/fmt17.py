@@ -28,11 +28,12 @@ Every other cell (tiny, huge, inf, nan) gets Python's ``"%.17g"``, or
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import cache
 
 import numpy as np
 
-__all__ = ["row_blocks"]
+__all__ = ["iter_row_blocks", "row_blocks"]
 
 # A slot: 0 opening separator, 1 sign, 2-6 "0.000" prefix, 7-40 the 17
 # digits, each followed by a point slot, 41-44 "e-05", 45-46 closing
@@ -161,24 +162,29 @@ def _text(rows: np.ndarray, json: bool, last: bool) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
-def row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> list[str]:
+def iter_row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> Iterator[str]:
     """The rows of a 2-D float table as text, ``block_rows`` rows per string.
 
     CSV ends every row with a newline; JSON writes each row as ``[...]``
     with commas between rows, and ``null`` for a non-finite cell.  The
     strings concatenate to the whole body.  Each string is built from
     passes of about ``_PASS_CELLS`` cells, so the temporaries stay smaller
-    than the strings that are kept.
+    than the string; the passes are freed before the string is yielded,
+    so a caller that writes each string and drops it holds one block at
+    a time.
     """
     rows = np.asarray(rows, dtype=np.float64)
     json = fmt == "json"
     step = max(1, _PASS_CELLS // max(1, rows.shape[1]))
-    blocks = []
-    for first in range(0, len(rows), block_rows):
-        stop = min(first + block_rows, len(rows))
-        passes = []
-        for i in range(first, stop, step):
-            end = min(i + step, stop)
-            passes.append(_text(rows[i:end], json, last=end == len(rows)))
-        blocks.append("".join(passes))
-    return blocks
+    n = len(rows)
+    for first in range(0, n, block_rows):
+        stop = min(first + block_rows, n)
+        yield "".join([
+            _text(rows[i : min(i + step, stop)], json, last=stop == n and i + step >= stop)
+            for i in range(first, stop, step)
+        ])
+
+
+def row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> list[str]:
+    """:func:`iter_row_blocks` as a list."""
+    return list(iter_row_blocks(rows, block_rows, fmt))

@@ -352,10 +352,19 @@ def _rotation(g: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def _ramp_map(delta: np.ndarray, g0: float, t_q: np.ndarray, t: np.ndarray) -> tuple:
-    """``M = R(g(t)) S(t) R(g0)^T`` and alpha_A at ``g0``; NaN where degenerate."""
+    """``M = R(g(t)) S(t) R(g0)^T`` and alpha_A at ``g0``; NaN where degenerate.
+
+    Raises OverflowError where a ramp time so long that the Magnus closed
+    forms overflow (powers of ``t`` past the float range) gives a
+    non-finite ``S``; finite inputs give a finite ``S`` otherwise.
+    """
     R0 = _rotation(g0, delta)
     Rt = _rotation(g0 * (1.0 - 2.0 * np.asarray(t) / t_q), delta)
-    S = propagator_array(g0, delta, t_q, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = propagator_array(g0, delta, t_q, t)
+    if not np.isfinite(S).all():
+        t_max = float(np.max(t_q))
+        raise OverflowError(f"the ramp's closed forms overflow (t_q up to {t_max!r})")
     return Rt @ S @ np.swapaxes(R0, -1, -2), R0[..., 0, 0] ** 2
 
 
@@ -432,7 +441,8 @@ def quench_trace_array(
     The initial state is thermal and diagonal in the hybrid basis of the
     pre-ramp coupling ``s.g0``; that same reference is subtracted at all
     later times.  Raises :class:`DegeneratePointError` if the hybrid
-    basis is degenerate at any sample.
+    basis is degenerate at any sample, and OverflowError if ``s.t_q`` is
+    so long that the closed forms overflow.
     """
     if n_t < 2:
         raise ValueError(f"n_t must be at least 2, got {n_t}")
@@ -514,7 +524,9 @@ def quench_scan_array(
     grid, with ``t`` the ramp time from :func:`ramp_times`.  A row with
     no finite ramp time (zero gap) or a degenerate hybrid basis --
     possible only when ``p.g = 0`` -- is NaN-filled rather than
-    aborting the scan.
+    aborting the scan.  A finite ramp time so long that the closed forms
+    overflow raises OverflowError, as :func:`ramp_times` does for an
+    infinite one.
     """
     if n_k < 2:
         raise ValueError(f"n_k must be at least 2, got {n_k}")

@@ -414,6 +414,16 @@ def test_overflowing_ramp_time_exits_2(command, capsys):
     assert "config error" in err and "tq_scale" in err
 
 
+@pytest.mark.parametrize("command", ["quench-scan", "quench-trace"])
+def test_overflowing_fixed_ramp_time_exits_2(command, capsys):
+    # a finite t_q whose closed forms overflow: a bad tq_value, not a g = 0 point
+    argv = (command, "--tq_mode", "fixed", "--tq_value", "1e300", "--n_k", "4")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("omband: config error: tq_value: ")
+    assert "degenerate" not in err
+
+
 def console_command():
     """The command, and its environment, that runs the `omband` entry point.
 

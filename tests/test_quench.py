@@ -411,3 +411,14 @@ def test_trace_array_matches_records(params, rule, request):
     assert trace.shape == (33, len(QUENCH_COLUMNS))
     assert np.all(trace[:, 0] == kd) and trace[-1, 1] == s.t_q
     np.testing.assert_array_equal(trace, record_table(quench_trace(p, kd, s, n_t=33)))
+
+
+@pytest.mark.parametrize("g", [0.1, 0.0], ids=["wide", "g0"])
+def test_overflowing_fixed_ramp_time_raises(g):
+    # t_q**3 in the closed forms passes the float range; with
+    # RuntimeWarnings as errors, no overflow warning may escape either
+    p = LatticeParams(g=g)
+    with pytest.raises(OverflowError, match="closed forms overflow"):
+        quench_scan_array(p, QuenchTimeRule(mode="fixed", t_q=1e300), n_k=33)
+    with pytest.raises(OverflowError, match="closed forms overflow"):
+        quench_trace_array(p, 0.48 * math.pi, QuenchSchedule(g0=p.g, t_q=1e300), n_t=33)

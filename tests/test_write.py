@@ -1,0 +1,105 @@
+"""``write_table`` and ``main``'s output: the bytes of ``emit``, one block at a time.
+
+Every command, in CSV and JSON, written by ``main`` to stdout and to
+``--out`` must come out byte-identical to ``emit`` of the same table.
+``write_table`` must hand its file one block at a time, so that its
+memory peak stays a fraction of the output instead of a few copies of it.
+"""
+
+import tracemalloc
+
+import pytest
+
+from omband import cli
+from omband.cli import ConfigError, emit, main, parse_config, run_command, write_table
+
+# n_k = 8197 (n_t for the trace) spans two full row blocks and a partial one
+CASES = [
+    ("bands", {"n_k": "8197"}),
+    ("weights", {"n_k": "8197", "g": "0"}),  # NaN cells at the crossings
+    ("gap", {"n_k": "8197", "theta_list": "0,0.8pi"}),
+    ("meanfield", {}),
+    ("thermal", {"n_k": "8197"}),
+    ("quench-trace", {"n_t": "8197", "kd_over_pi": "0.1"}),
+    ("quench-scan", {"n_k": "8197"}),
+    ("verify", {}),  # the string table
+]
+
+
+def _argv(command, flags):
+    return [command, *(x for k, v in flags.items() for x in (f"--{k}", v))]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(("command", "flags"), CASES, ids=[c for c, _ in CASES])
+def test_main_writes_the_bytes_of_emit(command, flags, fmt, tmp_path, capsysbinary):
+    flags = {**flags, "format": fmt}
+    want = emit(run_command(parse_config(None, flags), command), fmt).encode("utf-8")
+    assert main(_argv(command, flags)) == 0
+    assert capsysbinary.readouterr().out == want
+
+    target = tmp_path / f"table.{fmt}"
+    flags["out"] = str(target)  # the metadata records the destination
+    want = emit(run_command(parse_config(None, flags), command), fmt).encode("utf-8")
+    assert main(_argv(command, flags)) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == want
+
+
+class _Recorder:
+    """A text sink that keeps the length of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_writes_a_block_at_a_time(fmt):
+    table = run_command(parse_config(None, {"n_k": "8197"}), "bands")
+    sink = _Recorder()
+    n = write_table(table, fmt, sink)
+    text = emit(table, fmt)
+    assert n == len(text) and "".join(sink.writes) == text
+    # the header, three blocks of at most _BLOCK_ROWS rows, and JSON's "]}"
+    assert len(sink.writes) == 1 + 3 + (fmt == "json")
+    body = sink.writes[1:4]
+    rows = [b.count("\n") if fmt == "csv" else b.count("[") for b in body]
+    assert rows == [cli._BLOCK_ROWS, cli._BLOCK_ROWS, 8197 - 2 * cli._BLOCK_ROWS]
+
+
+def test_bad_format_raises_before_anything_is_written():
+    table = run_command(parse_config(None, {"n_k": "5"}), "bands")
+    sink = _Recorder()
+    with pytest.raises(ConfigError, match="format"):
+        write_table(table, "xml", sink)
+    assert sink.writes == []
+    with pytest.raises(ConfigError, match="format"):
+        emit(table, "xml")
+
+
+FIVE_PHASES = "0,0.25pi,0.5pi,0.8pi,pi"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    ("command", "flags"),
+    [("gap", {"n_k": "32768", "theta_list": FIVE_PHASES}), ("bands", {"n_k": "32768"})],
+    ids=["gap", "bands"],
+)
+def test_write_table_peak_is_a_fraction_of_the_output(command, flags, fmt, tmp_path):
+    # the whole-string path holds the text, its blocks and its encoded
+    # bytes at once: about 2.4 times the output
+    table = run_command(parse_config(None, flags), command)
+    with open(tmp_path / "table", "w", encoding="utf-8", newline="\n") as fh:
+        tracemalloc.start()
+        try:
+            n = write_table(table, fmt, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert n == (tmp_path / "table").stat().st_size  # ASCII: one byte a character
+    assert peak < 0.5 * n, f"peak {peak} B for {n} B of output"
