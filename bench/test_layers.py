@@ -1,8 +1,14 @@
 """Per-layer timings of config parsing, the tables and ``verify``'s oracles.
 
 The ``bands`` layers, at n_k = 512, 4096 and 32768, are ``band_scan``
-(the array kernel), the table build (``run_command``) and ``emit`` to CSV
-and to JSON.  At the same sizes the quench layers are ``propagator_array``
+(the array kernel) and ``emit`` to CSV and to JSON.  The four zone tables
+(``bands``, ``weights``, ``thermal`` and ``gap`` over five phases) are
+computed a block at a time as they are written, so ``run_command`` builds
+almost nothing for them: their layer is ``run_command`` plus
+``write_table`` to CSV in ``os.devnull``, at the same three sizes, with
+each size's tracemalloc peak in ``extra_info["peak_bytes"]`` (taken on one
+untimed call).  For a zone table ``emit`` includes its computation too.
+At the same sizes the quench layers are ``propagator_array``
 (the Magnus integrals and the 2x2 propagators at a scan's ramp times) and
 the ``quench-scan`` table build; the ``quench-trace`` table build is timed
 at n_t = 4096.  ``emit`` is also timed on the largest ``zone-tables`` table
@@ -25,6 +31,7 @@ Tier-1 does not collect this directory (``testpaths = ["tests"]``).
 import math
 import os
 import platform
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -54,11 +61,6 @@ def test_band_scan(bench, n_k):
     bench(band_scan, parse_config().lattice, n_k)
 
 
-@pytest.mark.parametrize("n_k", SIZES)
-def test_bands_table(bench, n_k):
-    bench(run_command, parse_config(None, {"n_k": str(n_k)}), "bands")
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n_k", SIZES)
 def test_emit_bands(bench, n_k, fmt):
@@ -81,6 +83,27 @@ def test_quench_scan_table(bench, n_k):
 
 
 GAP_FLAGS = {"n_k": "32768", "theta_list": "0,0.25pi,0.5pi,0.8pi,pi"}
+ZONE_FLAGS = {
+    "bands": {}, "weights": {}, "thermal": {}, "gap": {"theta_list": GAP_FLAGS["theta_list"]}
+}
+
+
+@pytest.mark.parametrize("n_k", SIZES)
+@pytest.mark.parametrize("command", ZONE_FLAGS)
+def test_zone_table(bench, command, n_k):
+    cfg = parse_config(None, {**ZONE_FLAGS[command], "n_k": str(n_k)})
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+
+        def write():
+            write_table(run_command(cfg, command), "csv", fh)
+
+        tracemalloc.start()
+        try:
+            write()
+            bench.extra_info["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bench(write)
 TRACE_FLAGS = {"n_t": "4096", "J": "0.043", "K": "0.0013", "g": "0.086", "kd_over_pi": "0.1"}
 
 

@@ -21,6 +21,7 @@ the crossing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "basis_arrays",
     "hybrid_basis",
     "band_scan",
+    "ZoneRows",
     "gap_extrema",
     "BAND_SCAN_COLUMNS",
 ]
@@ -108,9 +110,14 @@ def basis_arrays(g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
     shape = np.broadcast_shapes(np.shape(g), np.shape(delta))
     g, d = np.broadcast_arrays(np.atleast_1d(g), np.atleast_1d(delta))
     r = np.hypot(g, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dp = np.where(d >= 0.0, d + r, (g * g) / (r - d))  # = delta + r
         dm = np.where(d <= 0.0, d - r, -(g * g) / (r + d))  # = delta - r
+        big = np.isinf(g * g)  # |g| > ~1.3e154: there g * (g / x) does not overflow
+        if big.any():
+            g_, d_, r_ = g[big], d[big], r[big]
+            dp[big] = np.where(d_ >= 0.0, d_ + r_, g_ * (g_ / (r_ - d_)))
+            dm[big] = np.where(d_ <= 0.0, d_ - r_, -g_ * (g_ / (r_ + d_)))
         n_plus = np.hypot(g, dp)
         n_minus = np.hypot(g, dm)
         amps = [-g / n_plus, dp / n_plus, -g / n_minus, dm / n_minus]
@@ -163,21 +170,60 @@ BAND_SCAN_COLUMNS = (
 )
 
 
-def band_scan(p: LatticeParams, n_k: int = 512) -> np.ndarray:
+def band_scan(p: LatticeParams, n_k: int = 512, *, kd: np.ndarray | None = None) -> np.ndarray:
     """Tabulate bands and weights on an inclusive grid over [-pi, pi].
 
     Returns an ``(n_k, 8)`` array with columns :data:`BAND_SCAN_COLUMNS`
     in ascending ``kd``.  At an exactly degenerate point the four weight
     columns are NaN (the energies and the zero gap are still recorded).
+    Given ``kd``, the rows are those quasimomenta instead of the grid
+    (``n_k`` is then unused): each row depends on its own ``kd`` only, so
+    a slice of the grid gives the same bytes as the grid's rows.
     """
-    if n_k < 2:
+    if kd is not None:
+        kds = np.asarray(kd, dtype=float)
+    elif n_k < 2:
         raise ValueError(f"n_k must be at least 2, got {n_k}")
-    kds = np.linspace(-math.pi, math.pi, n_k)
+    else:
+        kds = np.linspace(-math.pi, math.pi, n_k)
     Omega, xi, delta = coeff_arrays(p, kds)
     mid = 0.5 * (Omega - xi)
     r, *amps = basis_arrays(p.g, delta)
     wp, wm = mid + r, mid - r
     return np.column_stack([kds, wp, wm, wp - wm, *(a * a for a in amps)])
+
+
+class ZoneRows:
+    """The rows of a table over the zone, computed when they are asked for.
+
+    The table runs over :func:`band_scan`'s kd grid once per phase, and
+    ``rows_at(phase, kd)`` gives one phase's 2-D float rows at a slice of
+    the grid.  ``len()`` is the row count; a slice ``rows[a:b]`` computes
+    those rows as one array; iteration yields the rows, computing them a
+    block at a time.  Only the grid and the rows asked for are held.
+    """
+
+    def __init__(
+        self, n_k: int, n_phases: int, rows_at: Callable[[int, np.ndarray], np.ndarray]
+    ) -> None:
+        self.kd = np.linspace(-math.pi, math.pi, n_k)
+        self.n_phases = n_phases
+        self.rows_at = rows_at
+
+    def __len__(self) -> int:
+        return self.n_phases * len(self.kd)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        first, stop, _ = rows.indices(len(self))
+        n = len(self.kd)
+        return np.concatenate([
+            self.rows_at(phase, self.kd[max(first - phase * n, 0) : stop - phase * n])
+            for phase in range(first // n, (stop - 1) // n + 1)
+        ])
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for first in range(0, len(self), 4096):
+            yield from self[first : first + 4096]
 
 
 _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)

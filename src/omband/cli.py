@@ -44,6 +44,7 @@ from ._version import __version__
 from .bands import (
     BAND_SCAN_COLUMNS,
     DegeneratePointError,
+    ZoneRows,
     band_scan,
     gap_array,
 )
@@ -320,7 +321,7 @@ def parse_config(
 @dataclass(frozen=True)
 class OutputTable:
     columns: tuple[str, ...]
-    rows: np.ndarray | list[tuple]  # 2-D floats; tuples for verify's string column
+    rows: np.ndarray | ZoneRows | list[tuple]  # 2-D floats; tuples for verify's string column
     metadata: dict[str, str]
 
 
@@ -373,7 +374,7 @@ def _pieces(table: OutputTable, fmt: str) -> Iterator[str]:
         meta = ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in table.metadata.items())
         cols = ",".join(json.dumps(c) for c in table.columns)
         yield '{"metadata":{' + meta + '},"columns":[' + cols + '],"rows":['
-    if isinstance(table.rows, np.ndarray):
+    if not isinstance(table.rows, list):
         yield from iter_row_blocks(table.rows, _BLOCK_ROWS, fmt)
     elif fmt == "csv":
         yield "".join(",".join(map(_csv_cell, row)) + "\n" for row in table.rows)
@@ -402,10 +403,13 @@ def write_table(table: OutputTable, fmt: str, fh: TextIO) -> int:
 
 def _band_table(cfg: RunConfig, first: int) -> OutputTable:
     """``band_scan`` columns from ``first`` on, after kd in units of pi."""
-    scan = band_scan(cfg.lattice, cfg.n_k)
+
+    def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
+        return np.column_stack((kd / math.pi, band_scan(cfg.lattice, kd=kd)[:, first:]))
+
     return OutputTable(
         columns=("kd_over_pi", *BAND_SCAN_COLUMNS[first:]),
-        rows=np.column_stack((scan[:, 0] / math.pi, scan[:, first:])),
+        rows=ZoneRows(cfg.n_k, 1, rows_at),
         metadata=_metadata(cfg),
     )
 
@@ -419,14 +423,15 @@ def _cmd_weights(cfg: RunConfig) -> OutputTable:
 
 
 def _cmd_gap(cfg: RunConfig) -> OutputTable:
-    kds = np.linspace(-math.pi, math.pi, cfg.n_k)
     phases = [replace(cfg.lattice, theta=theta) for theta in cfg.theta_list]
-    theta = np.repeat([p.theta for p in phases], cfg.n_k)
-    kd_over_pi = np.tile(kds / math.pi, len(phases))
-    gaps = np.concatenate([gap_array(p, kds) for p in phases])
+
+    def rows_at(phase: int, kd: np.ndarray) -> np.ndarray:
+        p = phases[phase]
+        return np.column_stack((np.full(len(kd), p.theta), kd / math.pi, gap_array(p, kd)))
+
     return OutputTable(
         columns=("theta", "kd_over_pi", "gap"),
-        rows=np.column_stack((theta, kd_over_pi, gaps)),
+        rows=ZoneRows(cfg.n_k, len(phases), rows_at),
         metadata=_metadata(cfg),
     )
 
@@ -450,12 +455,22 @@ def _cmd_meanfield(cfg: RunConfig) -> OutputTable:
 
 
 def _cmd_thermal(cfg: RunConfig) -> OutputTable:
-    scan = band_scan(cfg.lattice, cfg.n_k)
-    alpha_A = scan[:, BAND_SCAN_COLUMNS.index("alpha_A")]  # NaN if degenerate
-    N_th_A, N_th_B = thermal_arrays(alpha_A, cfg.bath)
+    bath = cfg.bath
+    alpha = BAND_SCAN_COLUMNS.index("alpha_A")
+
+    def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
+        alpha_A = band_scan(cfg.lattice, kd=kd)[:, alpha]  # NaN if degenerate
+        return np.column_stack((kd / math.pi, alpha_A, *thermal_arrays(alpha_A, bath)))
+
+    rows = ZoneRows(cfg.n_k, 1, rows_at)
+    # a mode decays at min(kappa, Gamma) / 2 or faster; if that is 0, compute
+    # every row now, so that SingularBathError comes before any output
+    if 0.5 * min(bath.kappa, bath.Gamma) == 0.0:
+        for _ in rows:
+            pass
     return OutputTable(
         columns=("kd_over_pi", "alpha_A", "N_th_A", "N_th_B"),
-        rows=np.column_stack((scan[:, 0] / math.pi, alpha_A, N_th_A, N_th_B)),
+        rows=rows,
         metadata=_metadata(cfg),
     )
 
@@ -570,7 +585,8 @@ _RUNNERS = {
 
 
 def run_command(cfg: RunConfig, command: str) -> OutputTable:
-    """Produce the output table for one subcommand (no I/O)."""
+    """Produce the output table for one subcommand (no I/O); a zone table's
+    rows are computed as they are written, but any error is raised here."""
     try:
         runner = _RUNNERS[command]
     except KeyError:

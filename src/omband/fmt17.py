@@ -167,21 +167,24 @@ def iter_row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> Iterator[str
 
     CSV ends every row with a newline; JSON writes each row as ``[...]``
     with commas between rows, and ``null`` for a non-finite cell.  The
-    strings concatenate to the whole body.  Each string is built from
-    passes of about ``_PASS_CELLS`` cells, so the temporaries stay smaller
-    than the string; the passes are freed before the string is yielded,
-    so a caller that writes each string and drops it holds one block at
-    a time.
+    strings concatenate to the whole body.  ``rows`` may also be any
+    sized table whose slices ``rows[a:b]`` are 2-D float arrays: a block
+    is sliced only when its string is due, so a table that computes its
+    rows when sliced is computed one block at a time.  Each string is
+    built from passes of about ``_PASS_CELLS`` cells, so the temporaries
+    stay smaller than the string; the passes are freed before the string
+    is yielded, so a caller that writes each string and drops it holds
+    one block at a time.
     """
-    rows = np.asarray(rows, dtype=np.float64)
     json = fmt == "json"
-    step = max(1, _PASS_CELLS // max(1, rows.shape[1]))
     n = len(rows)
     for first in range(0, n, block_rows):
-        stop = min(first + block_rows, n)
+        block = np.asarray(rows[first : first + block_rows], dtype=np.float64)
+        last = first + len(block) == n
+        step = max(1, _PASS_CELLS // max(1, block.shape[1]))
         yield "".join([
-            _text(rows[i : min(i + step, stop)], json, last=stop == n and i + step >= stop)
-            for i in range(first, stop, step)
+            _text(block[i : i + step], json, last=last and i + step >= len(block))
+            for i in range(0, len(block), step)
         ])
 
 

@@ -236,7 +236,7 @@ def _jacobi_eigvalsh(
 
     Each pivot strips the phase off A[i,j], applies the classic
     symmetric rotation, and forces the annihilated pair to exact zero;
-    an exact-zero pivot gets the identity instead.  The pivots are
+    a zero or subnormal pivot gets the identity instead.  The pivots are
     visited in round-robin order (Brent & Luk, SIAM J. Sci. Stat.
     Comput. 6, 69 (1985)): a round's pairs are disjoint, so their
     rotations commute and are applied together, with A held in the
@@ -249,7 +249,8 @@ def _jacobi_eigvalsh(
         raise ValueError("matrix must be square")
     if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(H))):
         raise ValueError("matrix must be Hermitian")
-    norm = max(float(np.linalg.norm(H)), np.finfo(float).tiny)
+    tiny = np.finfo(float).tiny
+    norm = max(float(np.linalg.norm(H)), tiny)
 
     # odd n: a zero row and column pad the matrix; it pairs with no one
     orders = _round_robin(n)
@@ -273,7 +274,9 @@ def _jacobi_eigvalsh(
             return np.sort(np.real(np.diag(A))[orders[0] < n])
         for step in steps:
             ab = np.abs(a_ij)
-            dead = ab == 0.0  # exact-zero pivots: t = 0 and phase = 1 below
+            # zero and subnormal pivots (a_ij / ab would overflow): t = 0
+            # and phase = 1 below, and the pivot is zeroed
+            dead = ab < tiny
             ab[dead] = 1.0
             phase = a_ij / ab  # e^{i phi}
             # t = sign(tau) / (|tau| + sqrt(1 + tau^2)) with tau = diff / (2|b|),

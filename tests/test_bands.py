@@ -112,6 +112,17 @@ def test_weights_stay_clean_for_tiny_coupling():
             assert abs(hb.u_A * hb.u_B + hb.v_A * hb.v_B) < 1e-15
 
 
+@pytest.mark.parametrize("gval", [1e200, 1e300])
+def test_weights_stay_finite_for_huge_coupling(gval):
+    # g * g overflows once |g| > ~1.3e154; the weights must not
+    weights = band_scan(LatticeParams(g=gval), n_k=65)[:, 4:]  # kd = -pi ... pi
+    assert np.isfinite(weights).all()
+    alpha_A, beta_A, alpha_B, beta_B = weights.T
+    assert np.max(np.abs(alpha_A + beta_A - 1.0)) <= 1e-15
+    assert np.max(np.abs(alpha_B + beta_B - 1.0)) <= 1e-15
+    np.testing.assert_allclose(weights, 0.5, atol=1e-15)  # g swamps every detuning
+
+
 def test_decoupled_limit_exact_branch():
     # g = 0: weights must be exactly 0/1, picked by the sign of delta
     p = LatticeParams(g=0.0)

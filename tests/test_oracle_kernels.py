@@ -115,6 +115,27 @@ def test_jacobi_skips_the_exact_zero_pivots_of_an_uncoupled_ring():
     assert np.max(np.abs(evals - bloch_grid_energies(p, 24))) <= 1e-12
 
 
+@pytest.mark.parametrize("key", ["g", "J"])
+def test_jacobi_zeroes_subnormal_pivots(key):
+    # a subnormal pivot a_ij overflows a_ij / |a_ij|; it is dead, like a zero one
+    p = replace(P, theta=2.0 * math.pi / 8, **{key: 1e-320})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evals = _jacobi_eigvalsh(_lattice_hamiltonian(p, 8))
+    assert np.max(np.abs(evals - bloch_grid_energies(p, 8))) <= 1e-12
+
+
+@pytest.mark.parametrize("key", ["g", "J"])
+def test_verify_at_a_subnormal_coupling_writes_its_table(key, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", f"--{key}", "1e-320"])
+    out, err = capsys.readouterr()
+    rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
+    assert len(rows) == 5 and err == ""
+    assert code == (0 if all(r[3] == "1" for r in rows) else 1)
+
+
 FLAT_SET = {
     "omega_m": "4.3", "Delta": "-4.3", "J": "0.043", "K": "0.0013", "g": "0.086"
 }

@@ -6,6 +6,7 @@ Every command, in CSV and JSON, written by ``main`` to stdout and to
 memory peak stays a fraction of the output instead of a few copies of it.
 """
 
+import os
 import tracemalloc
 
 import pytest
@@ -103,3 +104,58 @@ def test_write_table_peak_is_a_fraction_of_the_output(command, flags, fmt, tmp_p
             tracemalloc.stop()
     assert n == (tmp_path / "table").stat().st_size  # ASCII: one byte a character
     assert peak < 0.5 * n, f"peak {peak} B for {n} B of output"
+
+
+@pytest.mark.parametrize(
+    ("command", "flags", "fmt"),
+    [
+        ("bands", {}, "csv"),
+        ("bands", {}, "json"),
+        ("weights", {}, "csv"),
+        ("thermal", {}, "csv"),
+        ("gap", {"theta_list": FIVE_PHASES}, "csv"),
+    ],
+    ids=["bands-csv", "bands-json", "weights", "thermal", "gap"],
+)
+def test_zone_table_memory_does_not_grow_with_n_k(command, flags, fmt):
+    # a zone table is computed a block at a time as it is written: the
+    # peak is one block and the 1 MB kd grid, where the whole table and
+    # its temporaries would take tens of MB at this size
+    cfg = parse_config(None, {**flags, "n_k": "131072"})
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            write_table(run_command(cfg, command), fmt, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6e6, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("rate", ["kappa", "Gamma"])
+def test_a_failure_leaves_no_output(rate, tmp_path, capsysbinary):
+    # at g = 0 a mode is purely photonic or phononic, so a zero rate leaves
+    # it no decay channel; the third block is the first to hold such a point
+    argv = ["thermal", "--g", "0", f"--{rate}", "0", "--n_k", "8197"]
+    assert main(argv) == 2
+    out, err = capsysbinary.readouterr()
+    assert out == b"" and b"config error" in err
+    target = tmp_path / "table.csv"
+    assert main([*argv, "--out", str(target)]) == 2
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["bands", "weights", "thermal"])
+def test_band_rows_go_through_the_traced_band_scan(command, monkeypatch):
+    # the benchmark's tracer counts the rows cli.band_scan returns
+    band_scan, calls = cli.band_scan, []
+
+    def counted(*args, **kwargs):
+        rows = band_scan(*args, **kwargs)
+        calls.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(cli, "band_scan", counted)
+    table = run_command(parse_config(None, {"n_k": "8197"}), command)
+    write_table(table, "csv", _Recorder())
+    assert calls == [cli._BLOCK_ROWS, cli._BLOCK_ROWS, 8197 - 2 * cli._BLOCK_ROWS]
