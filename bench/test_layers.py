@@ -8,13 +8,16 @@ almost nothing for them: their layer is ``run_command`` plus
 ``write_table`` to CSV in ``os.devnull``, at the same three sizes, with
 each size's tracemalloc peak in ``extra_info["peak_bytes"]`` (taken on one
 untimed call).  For a zone table ``emit`` includes its computation too.
-At the same sizes the quench layers are ``propagator_array``
-(the Magnus integrals and the 2x2 propagators at a scan's ramp times) and
-the ``quench-scan`` table build; the ``quench-trace`` table build is timed
-at n_t = 4096.  ``emit`` is also timed on the largest ``zone-tables`` table
-(``gap`` at n_k = 32768, five phases) and on ``quench-trace`` at
-n_t = 4096, whose tiny populations fall outside the formatter's fast
-range.  The file write is ``write_table`` of that ``gap`` table into a
+At the same sizes, on a default ``quench-scan``'s inputs, the layers are
+the hybrid basis (``basis_arrays``), the Magnus integrals alone
+(``_magnus_arrays``), the 2x2 propagators (``propagator_array``), the
+thermal occupations and their propagation (``thermal_arrays`` and
+``_populations``) and the whole ``quench-scan`` table build; the
+``quench-trace`` table build is timed at n_t = 4096, and ``gap_extrema``
+on the wide- and narrow-band sets.  ``emit`` is also timed on the largest
+``zone-tables`` table (``gap`` at n_k = 32768, five phases) and on
+``quench-trace`` at n_t = 4096, whose tiny populations fall outside the
+formatter's fast range.  The file write is ``write_table`` of that ``gap`` table into a
 fresh file, opened and closed as ``main`` does for ``--out``.
 ``parse_config`` is timed on the flags of a benchmark invocation.
 The oracle layers are ``_rk4_ramp`` at verify's own batch (the 256 gapped
@@ -37,11 +40,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omband.bands import band_scan, gap_array
+from omband.bands import band_scan, basis_arrays, gap_array, gap_extrema
 from omband.cli import emit, parse_config, run_command, write_table
 from omband.model import coeff_arrays
 from omband.oracle import _rk4_ramp, finite_lattice_spectrum
-from omband.quench import propagator_array
+from omband.quench import (
+    _magnus_arrays,
+    _populations,
+    _ramp_map,
+    propagator_array,
+    thermal_arrays,
+)
 
 SIZES = (512, 4096, 32768)
 
@@ -68,13 +77,41 @@ def test_emit_bands(bench, n_k, fmt):
     bench(emit, table, fmt)
 
 
-@pytest.mark.parametrize("n_k", SIZES)
-def test_propagator_array(bench, n_k):
-    # a default quench-scan's inputs: per-k ramp times 1e-4 / gap, at t = t_q
+def scan_inputs(n_k):
+    """A default quench-scan's g, delta and per-k ramp times 1e-4 / gap."""
     p = parse_config().lattice
     kds = np.linspace(-math.pi, math.pi, n_k)
-    t_q = 1e-4 / gap_array(p, kds)
-    bench(propagator_array, p.g, coeff_arrays(p, kds)[2], t_q, t_q)
+    return p.g, coeff_arrays(p, kds)[2], 1e-4 / gap_array(p, kds)
+
+
+@pytest.mark.parametrize("n_k", SIZES)
+def test_basis_arrays(bench, n_k):
+    g, delta, _ = scan_inputs(n_k)
+    bench(basis_arrays, g, delta)
+
+
+@pytest.mark.parametrize("n_k", SIZES)
+def test_magnus_arrays(bench, n_k):
+    g, delta, t_q = scan_inputs(n_k)
+    bench(_magnus_arrays, g, delta, t_q, t_q)
+
+
+@pytest.mark.parametrize("n_k", SIZES)
+def test_propagator_array(bench, n_k):
+    g, delta, t_q = scan_inputs(n_k)
+    bench(propagator_array, g, delta, t_q, t_q)
+
+
+@pytest.mark.parametrize("n_k", SIZES)
+def test_populations(bench, n_k):
+    g, delta, t_q = scan_inputs(n_k)
+    M, alpha_A = _ramp_map(delta, g, t_q, t_q)
+    bath = parse_config().bath
+
+    def populations():
+        return _populations(M, *thermal_arrays(alpha_A, bath), bath.n_th)
+
+    bench(populations)
 
 
 @pytest.mark.parametrize("n_k", SIZES)
@@ -104,7 +141,8 @@ def test_zone_table(bench, command, n_k):
         finally:
             tracemalloc.stop()
         bench(write)
-TRACE_FLAGS = {"n_t": "4096", "J": "0.043", "K": "0.0013", "g": "0.086", "kd_over_pi": "0.1"}
+NARROW_FLAGS = {"J": "0.043", "K": "0.0013", "g": "0.086"}
+TRACE_FLAGS = {"n_t": "4096", **NARROW_FLAGS, "kd_over_pi": "0.1"}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -130,6 +168,11 @@ def test_write_table(bench, tmp_path, fmt):
 
 def test_quench_trace_table(bench):
     bench(run_command, parse_config(None, TRACE_FLAGS), "quench-trace")
+
+
+@pytest.mark.parametrize("flags", [{}, NARROW_FLAGS], ids=["wide", "narrow"])
+def test_gap_extrema(bench, flags):
+    bench(gap_extrema, parse_config(None, flags).lattice)
 
 
 def test_parse_config(bench):

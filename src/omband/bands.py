@@ -20,6 +20,7 @@ the crossing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -226,66 +227,44 @@ class ZoneRows:
             yield from self[first : first + 4096]
 
 
-_INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal f on [a, b] to width tol."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _fold_half_open(kd: float) -> float:
     r = math.remainder(kd, 2.0 * math.pi)
     if r >= math.pi:
         r -= 2.0 * math.pi
-    return r
+    return r + 0.0  # -0.0 -> 0.0
 
 
 def gap_extrema(
     p: LatticeParams, n_k_coarse: int = 1024, refine_tol: float = 1e-6
 ) -> list[GapExtremum]:
-    """Locate all local extrema of the gap over one Brillouin zone.
+    """All local extrema of the gap over one Brillouin zone, in closed form.
 
-    A coarse scan on ``n_k_coarse`` points marks sign changes of the
-    discrete slope; each bracket is then refined by golden-section
-    search to a ``kd`` resolution of ``refine_tol``.  Since the gap
-    profile is ``2 sqrt(g^2 + (c0 + A cos(kd + phi0))^2)`` there are at
-    most two minima and two maxima; a flat profile (A = 0) yields the
-    degenerate single record described in :class:`GapExtremum`.
+    With ``delta(kd) = c0 + A cos(kd + phi)``, ``A e^{i phi} = J e^{i theta} - K``
+    and ``c0 = (omega_m + Delta)/2``, the gap ``2 sqrt(g^2 + delta^2)`` has
+    an extremum wherever ``delta`` has (``kd = -phi`` and ``pi - phi``).
+    If ``|c0| < A`` both are maxima, and the two minima, exactly ``2|g|``,
+    sit at the zeros ``kd = +-arccos(-c0/A) - phi``; otherwise the extremum
+    of ``delta`` nearer to zero is the one minimum.  A flat profile yields
+    the single record described in :class:`GapExtremum`.  Records are
+    sorted by ``kd``, folded into [-pi, pi).  ``n_k_coarse`` (at least 64)
+    and ``refine_tol`` are not used.
     """
     if n_k_coarse < 64:
         raise ValueError(f"n_k_coarse must be at least 64, got {n_k_coarse}")
-    h = 2.0 * math.pi / n_k_coarse
-    xs = -math.pi + h * np.arange(n_k_coarse)
-    vals = gap_array(p, xs)
-    vmax = float(vals.max())
-    vmin = float(vals.min())
-    if vmax - vmin <= 1e-13 * max(1.0, abs(vmax)):
-        return [GapExtremum(kd=math.nan, value=float(vals[0]), kind=None)]
-
-    def f(x: float) -> float:
-        return gap(p, x)
-
-    found: list[GapExtremum] = []
-    left, right = np.roll(vals, 1), np.roll(vals, -1)  # periodic neighbours
-    for kind, sign, marked in (
-        ("minimum", 1.0, (vals < left) & (vals <= right)),
-        ("maximum", -1.0, (vals > left) & (vals >= right)),
-    ):
-        for x in xs[marked]:
-            loc = _golden_min(lambda y: sign * f(y), x - h, x + h, refine_tol)
-            found.append(GapExtremum(kd=_fold_half_open(loc), value=f(loc), kind=kind))
-    found.sort(key=lambda e: e.kd)
-    return found
+    c0 = 0.5 * (p.omega_m + p.Delta)
+    A, phi = cmath.polar(cmath.rect(p.J, p.theta) - p.K)
+    top = 2.0 * math.hypot(p.g, abs(c0) + A)
+    if top - 2.0 * math.hypot(p.g, max(abs(c0) - A, 0.0)) <= 1e-13 * max(1.0, top):
+        return [GapExtremum(kd=math.nan, value=2.0 * math.hypot(p.g, c0), kind=None)]
+    ends = [(-phi, c0 + A), (math.pi - phi, c0 - A)]  # (kd, delta) at delta's extrema
+    if abs(c0) < A:
+        zero = math.acos(-c0 / A)
+        found = [(zero - phi, 0.0, "minimum"), (-zero - phi, 0.0, "minimum")]
+        found += [(kd, d, "maximum") for kd, d in ends]
+    else:
+        near, far = sorted(ends, key=lambda e: abs(e[1]))
+        found = [(*near, "minimum"), (*far, "maximum")]
+    return sorted(
+        (GapExtremum(_fold_half_open(kd), 2.0 * math.hypot(p.g, d), kind) for kd, d, kind in found),
+        key=lambda e: e.kd,
+    )

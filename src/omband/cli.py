@@ -480,9 +480,11 @@ def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
     kd = cfg.kd_over_pi * math.pi
     t_q = float(ramp_times(p, cfg.time_rule, kd))
     if math.isnan(t_q):
-        raise DegeneratePointError(
-            f"gap vanishes (kd={kd!r}); no finite ramp time under tq_mode={cfg.tq_mode}"
-        )
+        if cfg.tq_mode == "global-min":
+            where = "the zone's minimum gap is zero"
+        else:
+            where = f"gap vanishes (kd={kd!r})"
+        raise DegeneratePointError(f"{where}; no finite ramp time under tq_mode={cfg.tq_mode}")
     trace = quench_trace_array(p, kd, QuenchSchedule(p.g, t_q), n_t=cfg.n_t, bath=cfg.bath)
     return OutputTable(
         columns=("t_over_tq", *QUENCH_COLUMNS[2:]),
@@ -663,7 +665,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"omband: degenerate point: {exc}", file=sys.stderr)
         return 4
     except OverflowError as exc:  # the ramp time overflows, or the closed forms at it
-        key = "tq_value" if cfg.tq_mode == "fixed" else "tq_scale"
+        if not math.isfinite(cfg.g * cfg.g):
+            key = "g"
+        else:
+            key = "tq_value" if cfg.tq_mode == "fixed" else "tq_scale"
         print(f"omband: config error: {key}: {exc}", file=sys.stderr)
         return 2
     except (CommensurabilityError, SingularBathError, SingularParameterError) as exc:

@@ -247,8 +247,12 @@ def _jacobi_eigvalsh(
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("matrix must be square")
-    if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(H))):
+    peak = float(np.max(np.abs(H)))
+    if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(1.0, peak):
         raise ValueError("matrix must be Hermitian")
+    # scaled by a power of two (exactly) so that the sweep's squares stay finite
+    scale = math.frexp(peak)[1]
+    H = np.ldexp(H.real, -scale) + 1j * np.ldexp(H.imag, -scale)
     tiny = np.finfo(float).tiny
     norm = max(float(np.linalg.norm(H)), tiny)
 
@@ -271,7 +275,7 @@ def _jacobi_eigvalsh(
             max(float(np.sum(np.abs(A) ** 2) - np.sum(np.abs(np.diag(A)) ** 2)), 0.0)
         )
         if off <= tol * norm:
-            return np.sort(np.real(np.diag(A))[orders[0] < n])
+            return np.ldexp(np.sort(np.real(np.diag(A))[orders[0] < n]), scale)
         for step in steps:
             ab = np.abs(a_ij)
             # zero and subnormal pivots (a_ij / ab would overflow): t = 0

@@ -18,6 +18,8 @@ from omband import (
     gap_extrema,
     hybrid_basis,
 )
+from omband.bands import gap_array
+from omband.quench import QuenchTimeRule, ramp_times
 
 # photon weight of the upper mode at the zone center, frozen once from
 # the closed form (g=0.1 against delta = +0.3 / -0.7)
@@ -196,3 +198,72 @@ def test_gap_extrema_flat_profile():
 def test_gap_extrema_rejects_coarse_grid():
     with pytest.raises(ValueError):
         gap_extrema(LatticeParams(), n_k_coarse=32)
+
+
+def _circ_dist(a, b):
+    d = abs(a - b) % (2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
+
+
+def _grid_extrema(p, n=2**16):
+    """Local extrema of gap_array on an n-point periodic grid, as (kd, kind)."""
+    kd = -math.pi + (2.0 * math.pi / n) * np.arange(n)
+    v = gap_array(p, kd)
+    left, right = np.roll(v, 1), np.roll(v, -1)
+    found = [(x, "minimum") for x in kd[(v < left) & (v <= right)]]
+    return found + [(x, "maximum") for x in kd[(v > left) & (v >= right)]]
+
+
+# c0 = (omega_m + Delta)/2 against A = |J e^{i theta} - K|: (params, minima, |c0| <= A)
+GAP_REGIMES = {
+    "inside": (LatticeParams(theta=0.3), 2, True),
+    "above": (LatticeParams(Delta=-3.0, theta=0.2 * math.pi), 1, False),
+    "below": (LatticeParams(omega_m=3.0, theta=-2.0), 1, False),
+    "at_plus_A": (LatticeParams(omega_m=1.5, Delta=-0.5, J=0.75, K=0.25), 1, True),
+    "at_minus_A": (LatticeParams(omega_m=0.5, Delta=-1.5, J=0.75, K=0.25), 1, True),
+    "g_zero": (LatticeParams(g=0.0, theta=0.8 * math.pi), 2, True),
+    "g_zero_above": (LatticeParams(Delta=-3.0, g=0.0), 1, False),
+}
+
+
+@pytest.mark.parametrize("regime", GAP_REGIMES)
+def test_gap_extrema_closed_form_matches_a_dense_periodic_scan(regime):
+    p, n_minima, touches_zero = GAP_REGIMES[regime]
+    ext = gap_extrema(p)
+    grid = _grid_extrema(p)
+    assert sorted(e.kind for e in ext) == sorted(kind for _, kind in grid)
+    assert sum(e.kind == "minimum" for e in ext) == n_minima
+    step = 2.0 * math.pi / 2**16
+    for e in ext:
+        assert any(k == e.kind and _circ_dist(kd, e.kd) <= step for kd, k in grid), e
+        assert e.value == pytest.approx(gap(p, e.kd), rel=1e-14, abs=1e-15)
+        if touches_zero and e.kind == "minimum":
+            assert e.value == 2.0 * abs(p.g)
+    kds = [e.kd for e in ext]
+    assert kds == sorted(kds) and all(-math.pi <= kd < math.pi for kd in kds)
+
+
+def test_gap_extrema_flat_when_the_hoppings_cancel():
+    # J e^{i theta} = K: A = 0, so delta is c0 at every kd
+    p = LatticeParams(J=0.3, K=0.3, g=0.2)
+    v = gap_array(p, np.linspace(-math.pi, math.pi, 2**16))
+    (e,) = gap_extrema(p)
+    assert e.kind is None and math.isnan(e.kd)
+    assert np.ptp(v) <= 1e-15 and e.value == pytest.approx(v[0], abs=1e-15)
+
+
+def test_gap_extrema_fold_zero_to_plus_zero():
+    # theta = 0: phi = 0, so one maximum sits at kd = -phi = -0.0
+    (at_zero,) = [e for e in gap_extrema(LatticeParams()) if e.kd == 0.0]
+    assert at_zero.kind == "maximum" and math.copysign(1.0, at_zero.kd) == 1.0
+
+
+@pytest.mark.parametrize("regime", [r for r, (_, _, zero) in GAP_REGIMES.items() if zero])
+def test_global_min_ramp_time_is_exactly_scale_over_2g(regime):
+    p = GAP_REGIMES[regime][0]
+    kd = np.linspace(-math.pi, math.pi, 9)
+    t_q = ramp_times(p, QuenchTimeRule(mode="global-min", scale=1e-4), kd)
+    if p.g == 0.0:
+        assert np.all(np.isnan(t_q))
+    else:
+        assert np.all(t_q == 1e-4 / (2.0 * abs(p.g)))

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -422,6 +423,34 @@ def test_overflowing_fixed_ramp_time_exits_2(command, capsys):
     assert code == 2 and out == ""
     assert err.startswith("omband: config error: tq_value: ")
     assert "degenerate" not in err
+
+
+@pytest.mark.parametrize("command", ["quench-scan", "quench-trace"])
+def test_overflowing_coupling_exits_2_naming_g(command, capsys):
+    # g * g overflows: the closed forms fail because of g, not tq_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, "--g", "1e300", "--n_k", "33")
+    assert code == 2 and out == ""
+    assert err.startswith("omband: config error: g: ") and err.count("\n") == 1
+
+
+def test_zero_coupling_global_min_scan_writes_nan_rows(capsys):
+    # at g = 0 the zone's minimum gap is exactly 0: no finite global ramp time
+    argv = ("quench-scan", "--g", "0", "--tq_mode", "global-min", "--n_k", "33")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, body = rows_of(out)
+    assert len(body) == 33 and all(r[1:] == ["nan", "nan"] for r in body)
+
+
+def test_zero_coupling_global_min_trace_exits_4(capsys):
+    code, out, err = run_cli(capsys, "quench-trace", "--g", "0", "--tq_mode", "global-min")
+    assert code == 4 and out == ""
+    assert err == (
+        "omband: degenerate point: the zone's minimum gap is zero; "
+        "no finite ramp time under tq_mode=global-min\n"
+    )
 
 
 def console_command():

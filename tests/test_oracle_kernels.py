@@ -108,6 +108,17 @@ def test_jacobi_matches_numpy_on_random_hermitian(n):
     assert np.max(np.abs(_jacobi_eigvalsh(H) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def test_jacobi_scales_a_huge_matrix_exactly():
+    # sums of |A_ij|^2 overflow near 1e300; a power-of-two scale is exact
+    rng = np.random.default_rng(990)
+    X = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    H = X + X.conj().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = _jacobi_eigvalsh(H * 2.0**990)
+    assert np.array_equal(huge, _jacobi_eigvalsh(H) * 2.0**990)
+
+
 def test_jacobi_skips_the_exact_zero_pivots_of_an_uncoupled_ring():
     p = replace(P, g=0.0, theta=2.0 * math.pi * 5 / 24)
     evals = _jacobi_eigvalsh(_lattice_hamiltonian(p, 24))
