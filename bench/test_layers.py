@@ -22,8 +22,12 @@ fresh file, opened and closed as ``main`` does for ``--out``.
 ``parse_config`` is timed on the flags of a benchmark invocation.
 The oracle layers are ``_rk4_ramp`` at verify's own batch (the 256 gapped
 points of its four phases, 1024 steps), ``finite_lattice_spectrum`` at
-N = 8 and 24 cells, and the whole ``verify`` table build.  Run from a
-checkout:
+N = 8 and 24 cells, and the whole ``verify`` table build.  Whole
+invocations, end to end, are ``bands`` and ``quench-scan`` at the three
+sizes with ``--out /dev/null``, each run as ``perfbench/run.py`` runs one:
+a fresh interpreter started with ``subprocess.run`` on the same program,
+with ``PYTHONPATH`` set to the ``src`` directory of the omband imported
+here.  Run from a checkout:
 
     python -m pytest bench --benchmark-json=bench.json
 
@@ -34,12 +38,16 @@ Tier-1 does not collect this directory (``testpaths = ["tests"]``).
 import math
 import os
 import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import omband
 from omband.bands import band_scan, basis_arrays, gap_array, gap_extrema
 from omband.cli import emit, parse_config, run_command, write_table
 from omband.model import coeff_arrays
@@ -205,3 +213,16 @@ def test_lattice_spectrum(bench, N, m):
 
 def test_verify_table(bench):
     bench(run_command, parse_config(), "verify")
+
+
+# the program perfbench/run.py starts for each invocation
+CLI_PROGRAM = "import sys; from omband.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("n_k", SIZES)
+@pytest.mark.parametrize("command", ["bands", "quench-scan"])
+def test_invocation(bench, command, n_k):
+    src = str(Path(omband.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", CLI_PROGRAM, command, "--n_k", str(n_k), "--out", os.devnull]
+    bench(subprocess.run, argv, env=env, check=True)

@@ -31,10 +31,12 @@ mode, a bad ``tq_scale`` otherwise).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from typing import TextIO
 
@@ -232,8 +234,8 @@ def _validate(cfg: RunConfig) -> None:
         v = getattr(cfg, key)
         if not (math.isfinite(v) and v > 0):
             raise bad(key, "must be positive")
-    if not math.isfinite(cfg.kd_over_pi):
-        raise bad("kd_over_pi", "must be finite")
+    if not math.isfinite(cfg.kd_over_pi * math.pi):
+        raise bad("kd_over_pi", "kd = kd_over_pi * pi must be finite")
     if not (cfg.theta_list and all(map(math.isfinite, cfg.theta_list))):
         raise bad("theta_list", "must be a non-empty list of finite angles")
     if not (0.0 < cfg.damping <= 1.0):
@@ -401,42 +403,29 @@ def write_table(table: OutputTable, fmt: str, fh: TextIO) -> int:
 # ---------------------------------------------------------------- commands
 
 
-def _band_table(cfg: RunConfig, first: int) -> OutputTable:
-    """``band_scan`` columns from ``first`` on, after kd in units of pi."""
+def _band_table(first: int) -> Callable[[RunConfig], tuple]:
+    """The runner of ``band_scan``'s columns from ``first`` on, after kd in units of pi."""
 
-    def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
-        return np.column_stack((kd / math.pi, band_scan(cfg.lattice, kd=kd)[:, first:]))
+    def run(cfg: RunConfig) -> tuple:
+        def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
+            return np.column_stack((kd / math.pi, band_scan(cfg.lattice, kd=kd)[:, first:]))
 
-    return OutputTable(
-        columns=("kd_over_pi", *BAND_SCAN_COLUMNS[first:]),
-        rows=ZoneRows(cfg.n_k, 1, rows_at),
-        metadata=_metadata(cfg),
-    )
+        return ("kd_over_pi", *BAND_SCAN_COLUMNS[first:]), ZoneRows(cfg.n_k, 1, rows_at)
 
-
-def _cmd_bands(cfg: RunConfig) -> OutputTable:
-    return _band_table(cfg, 1)
+    return run
 
 
-def _cmd_weights(cfg: RunConfig) -> OutputTable:
-    return _band_table(cfg, BAND_SCAN_COLUMNS.index("alpha_A"))
-
-
-def _cmd_gap(cfg: RunConfig) -> OutputTable:
+def _cmd_gap(cfg: RunConfig) -> tuple:
     phases = [replace(cfg.lattice, theta=theta) for theta in cfg.theta_list]
 
     def rows_at(phase: int, kd: np.ndarray) -> np.ndarray:
         p = phases[phase]
         return np.column_stack((np.full(len(kd), p.theta), kd / math.pi, gap_array(p, kd)))
 
-    return OutputTable(
-        columns=("theta", "kd_over_pi", "gap"),
-        rows=ZoneRows(cfg.n_k, len(phases), rows_at),
-        metadata=_metadata(cfg),
-    )
+    return ("theta", "kd_over_pi", "gap"), ZoneRows(cfg.n_k, len(phases), rows_at)
 
 
-def _cmd_meanfield(cfg: RunConfig) -> OutputTable:
+def _cmd_meanfield(cfg: RunConfig) -> tuple:
     sol = solve_meanfield(
         cfg.drive, tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping
     )
@@ -449,12 +438,10 @@ def _cmd_meanfield(cfg: RunConfig) -> OutputTable:
         "iterations": sol.iterations,  # "%.17g" % 12.0 == "12"
         "residual": sol.residual,
     }
-    return OutputTable(
-        columns=tuple(row), rows=np.array([list(row.values())]), metadata=_metadata(cfg)
-    )
+    return tuple(row), np.array([list(row.values())])
 
 
-def _cmd_thermal(cfg: RunConfig) -> OutputTable:
+def _cmd_thermal(cfg: RunConfig) -> tuple:
     bath = cfg.bath
     alpha = BAND_SCAN_COLUMNS.index("alpha_A")
 
@@ -468,14 +455,10 @@ def _cmd_thermal(cfg: RunConfig) -> OutputTable:
     if 0.5 * min(bath.kappa, bath.Gamma) == 0.0:
         for _ in rows:
             pass
-    return OutputTable(
-        columns=("kd_over_pi", "alpha_A", "N_th_A", "N_th_B"),
-        rows=rows,
-        metadata=_metadata(cfg),
-    )
+    return ("kd_over_pi", "alpha_A", "N_th_A", "N_th_B"), rows
 
 
-def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
+def _cmd_quench_trace(cfg: RunConfig) -> tuple:
     p = cfg.lattice
     kd = cfg.kd_over_pi * math.pi
     t_q = float(ramp_times(p, cfg.time_rule, kd))
@@ -486,20 +469,12 @@ def _cmd_quench_trace(cfg: RunConfig) -> OutputTable:
             where = f"gap vanishes (kd={kd!r})"
         raise DegeneratePointError(f"{where}; no finite ramp time under tq_mode={cfg.tq_mode}")
     trace = quench_trace_array(p, kd, QuenchSchedule(p.g, t_q), n_t=cfg.n_t, bath=cfg.bath)
-    return OutputTable(
-        columns=("t_over_tq", *QUENCH_COLUMNS[2:]),
-        rows=np.column_stack((trace[:, 1] / t_q, trace[:, 2:])),
-        metadata=_metadata(cfg),
-    )
+    return ("t_over_tq", *QUENCH_COLUMNS[2:]), np.column_stack((trace[:, 1] / t_q, trace[:, 2:]))
 
 
-def _cmd_quench_scan(cfg: RunConfig) -> OutputTable:
+def _cmd_quench_scan(cfg: RunConfig) -> tuple:
     scan = quench_scan_array(cfg.lattice, cfg.time_rule, n_k=cfg.n_k, bath=cfg.bath)
-    return OutputTable(
-        columns=("kd_over_pi", *QUENCH_COLUMNS[4:]),
-        rows=np.column_stack((scan[:, 0] / math.pi, scan[:, 4:])),
-        metadata=_metadata(cfg),
-    )
+    return ("kd_over_pi", *QUENCH_COLUMNS[4:]), np.column_stack((scan[:, 0] / math.pi, scan[:, 4:]))
 
 
 def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
@@ -554,35 +529,28 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
     except MeanFieldConvergenceError:
         mf_res = math.inf
 
-    def ok(flag: bool) -> int:
-        return 1 if flag else 0
-
+    checks = [
+        ("magnus_vs_rk4", max_dev, 1e-6),
+        ("propagator_unitarity", max_unit, 1e-12),
+        ("rk4_order_ratio", ratio, 16.0),  # fourth order: passes in [12, 20]
+        ("lattice_vs_bloch", lat_dev, 1e-10),
+        ("meanfield_residual", mf_res, 1e-9),
+    ]
     return [
-        ("magnus_vs_rk4", max_dev, 1e-6, ok(max_dev <= 1e-6)),
-        ("propagator_unitarity", max_unit, 1e-12, ok(max_unit <= 1e-12)),
-        ("rk4_order_ratio", ratio, 16.0, ok(12.0 <= ratio <= 20.0)),
-        ("lattice_vs_bloch", lat_dev, 1e-10, ok(lat_dev <= 1e-10)),
-        ("meanfield_residual", mf_res, 1e-9, ok(mf_res <= 1e-9)),
+        (name, value, th, int(12.0 <= value <= 20.0 if name == "rk4_order_ratio" else value <= th))
+        for name, value, th in checks
     ]
 
 
-def _cmd_verify(cfg: RunConfig) -> OutputTable:
-    return OutputTable(
-        columns=("check", "value", "threshold", "passed"),
-        rows=_verify_checks(cfg),
-        metadata=_metadata(cfg),
-    )
-
-
 _RUNNERS = {
-    "bands": _cmd_bands,
-    "weights": _cmd_weights,
+    "bands": _band_table(1),
+    "weights": _band_table(BAND_SCAN_COLUMNS.index("alpha_A")),
     "gap": _cmd_gap,
     "meanfield": _cmd_meanfield,
     "thermal": _cmd_thermal,
     "quench-trace": _cmd_quench_trace,
     "quench-scan": _cmd_quench_scan,
-    "verify": _cmd_verify,
+    "verify": lambda cfg: (("check", "value", "threshold", "passed"), _verify_checks(cfg)),
 }
 
 
@@ -593,7 +561,7 @@ def run_command(cfg: RunConfig, command: str) -> OutputTable:
         runner = _RUNNERS[command]
     except KeyError:
         raise ConfigError(f"unknown command {command!r}") from None
-    return runner(cfg)
+    return OutputTable(*runner(cfg), _metadata(cfg))
 
 
 # ---------------------------------------------------------------- driver
@@ -612,8 +580,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_flag_values(argv: list[str]) -> list[str]:
+    """Each ``--key value`` of a config key as ``--key=value``, so that a
+    value starting with ``-`` (``-pi``, ``-1e-3``) is not read as a flag.
+    A key's flag followed by another one is left for argparse to refuse."""
+    names = {f"--{key}" for key in (*_KINDS, *_ALIASES)}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in names and token not in names:
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
     try:
         file_text = None
         if args.config is not None:
@@ -643,15 +625,19 @@ def main(argv: list[str] | None = None) -> int:
             print("omband: verify passed", file=sys.stderr)
 
         table = run_command(cfg, args.command)
-        if cfg.out == "-":
-            write_table(table, cfg.format, sys.stdout)
-        else:
-            try:
-                with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                    write_table(table, cfg.format, fh)
-            except OSError as exc:
-                print(f"omband: cannot write output: {exc}", file=sys.stderr)
-                return 5
+        try:
+            with (
+                contextlib.nullcontext(sys.stdout)
+                if cfg.out == "-"
+                else open(cfg.out, "w", encoding="utf-8", newline="\n")
+            ) as fh:
+                write_table(table, cfg.format, fh)
+                fh.flush()  # now rather than at exit, so that a closed pipe exits 5
+        except OSError as exc:
+            print(f"omband: cannot write output: {exc}", file=sys.stderr)
+            if cfg.out == "-":  # the exit-time flush of stdout would fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 5
         if args.command == "verify" and any(not row[3] for row in table.rows):
             return 1
         return 0

@@ -44,7 +44,11 @@ class MeanFieldConvergenceError(RuntimeError):
 
 
 class SingularParameterError(ValueError):
-    """A mean-field denominator vanished (only possible for lossless modes)."""
+    """The mean-field equations have no finite solution to iterate on.
+
+    Either a denominator vanished (only possible for lossless modes), or
+    the drive ``Omega_d`` is so strong that |alpha|^2 overflows.
+    """
 
 
 @dataclass(frozen=True)
@@ -110,16 +114,23 @@ def solve_meanfield(
     if den_b == 0:
         raise SingularParameterError("mechanical denominator vanishes")
 
+    def intensity(a: complex) -> float:
+        try:
+            return abs(a) ** 2
+        except OverflowError:
+            msg = f"Omega_d: |alpha|^2 overflows at Omega_d = {drive.Omega_d!r}"
+            raise SingularParameterError(msg) from None
+
     def rhs(alpha: complex, beta: complex) -> tuple[complex, complex]:
         den_a = den_a0 + drive.G * (beta + beta.conjugate())
         if den_a == 0:
             raise SingularParameterError("optical denominator vanished mid-iteration")
         a = drive.Omega_d / den_a
-        b = drive.G * abs(a) ** 2 / den_b
+        b = drive.G * intensity(a) / den_b
         return a, b
 
     alpha = drive.Omega_d / den_a0
-    beta = drive.G * abs(alpha) ** 2 / den_b
+    beta = drive.G * intensity(alpha) / den_b
     step = math.inf
     for it in range(1, max_iter + 1):
         a_new, b_new = rhs(alpha, beta)

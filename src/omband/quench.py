@@ -303,16 +303,21 @@ def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagator_array(g0, delta_half, t_q, t) -> np.ndarray:
-    """Interaction-picture propagators ``S(t)``, shape ``(..., 2, 2)``."""
-    theta, phi = _magnus_arrays(g0, delta_half, t_q, t)
-    eta = np.hypot(np.abs(theta), phi)
-    c = np.cos(eta)
-    sinc = np.sinc(eta / math.pi)  # sin(eta)/eta, 1 at eta = 0
-    S = np.empty((*theta.shape, 2, 2), dtype=complex)
-    S[..., 0, 0] = c - 1j * sinc * phi
-    S[..., 0, 1] = 1j * sinc * theta
-    S[..., 1, 0] = 1j * sinc * np.conj(theta)
-    S[..., 1, 1] = c + 1j * sinc * phi
+    """Interaction-picture propagators ``S(t)``, shape ``(..., 2, 2)``.
+
+    Where a ramp time or coupling is so large that the Magnus integrals
+    overflow, those entries are non-finite, without a RuntimeWarning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta, phi = _magnus_arrays(g0, delta_half, t_q, t)
+        eta = np.hypot(np.abs(theta), phi)
+        c = np.cos(eta)
+        sinc = np.sinc(eta / math.pi)  # sin(eta)/eta, 1 at eta = 0
+        S = np.empty((*theta.shape, 2, 2), dtype=complex)
+        S[..., 0, 0] = c - 1j * sinc * phi
+        S[..., 0, 1] = 1j * sinc * theta
+        S[..., 1, 0] = 1j * sinc * np.conj(theta)
+        S[..., 1, 1] = c + 1j * sinc * phi
     return S
 
 
@@ -360,8 +365,7 @@ def _ramp_map(delta: np.ndarray, g0: float, t_q: np.ndarray, t: np.ndarray) -> t
     """
     R0 = _rotation(g0, delta)
     Rt = _rotation(g0 * (1.0 - 2.0 * np.asarray(t) / t_q), delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = propagator_array(g0, delta, t_q, t)
+    S = propagator_array(g0, delta, t_q, t)
     if not np.isfinite(S).all():
         t_max = float(np.max(t_q))
         raise OverflowError(f"the ramp's closed forms overflow (t_q up to {t_max!r})")

@@ -486,3 +486,72 @@ def test_console_script():
         [*cmd, "bands", "--not-a-flag", "1"], capture_output=True, text=True, env=env
     )
     assert bad.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, keep",
+    [(["bands", "--n_k", "200000"], 100), (["meanfield"], 0)],
+    ids=["mid-table", "before-output"],
+)
+def test_closed_pipe_exits_5_with_one_line(argv, keep):
+    # block-buffered stdout, as in a shell pipeline: the exit-time flush must
+    # not fail a second time
+    cmd, env = console_command()
+    env = {k: v for k, v in (env or os.environ).items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [*cmd, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 5
+    assert err == "omband: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["meanfield"],
+        ["verify", "--rk4_steps", "16"],
+        ["bands", "--n_k", "3", "--verify", "true", "--rk4_steps", "16"],
+    ],
+    ids=["meanfield", "verify", "bands-verify"],
+)
+def test_meanfield_overflow_exits_2_naming_omega_d(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--Omega_d", "1e160")
+    assert code == 2 and out == ""
+    assert err.startswith("omband: config error: Omega_d: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["omega_m", "Delta", "J"])
+def test_verify_at_extreme_scales_writes_no_warning(key, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--rk4_steps", "16", f"--{key}", "1e300")
+    assert code == 1 and err == ""
+    _, body = rows_of(out)
+    assert body[0][:2] == ["magnus_vs_rk4", "nan"] and body[0][3] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["bands", "--theta", "-pi"], "# theta = 3.1415926535897931"),
+        (["gap", "--theta_list", "-pi,0"], "# theta_list = -3.1415926535897931,0"),
+        (["bands", "--Delta", "-1e-3"], "# Delta = -0.001"),
+    ],
+    ids=["theta", "theta_list", "Delta"],
+)
+def test_flag_values_may_start_with_a_minus(argv, line, capsys):
+    code, out, _ = run_cli(capsys, *argv, "--n_k", "2")
+    assert code == 0
+    assert line in out.splitlines()
+
+
+def test_kd_over_pi_whose_kd_overflows_exits_2(capsys):
+    # 1e308 is finite, but kd = 1e308 * pi is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "quench-trace", "--kd_over_pi", "1e308")
+    assert code == 2 and out == ""
+    assert err.startswith("omband: config error: kd_over_pi: ") and err.count("\n") == 1

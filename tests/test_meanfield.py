@@ -149,3 +149,10 @@ def test_enhanced_coupling_scales_with_drive():
     g1 = solve_meanfield(DriveParams(Omega_d=1.0)).g_enhanced
     g2 = solve_meanfield(DriveParams(Omega_d=2.0)).g_enhanced
     assert g2 / g1 == pytest.approx(2.0, rel=1e-3)
+
+
+def test_amplitude_whose_square_overflows_is_singular():
+    # at the defaults |alpha| ~ Omega_d / 3.3: 1e150 squares, 1e160 does not
+    assert solve_meanfield(DriveParams(Omega_d=1e150)).g_enhanced > 0
+    with pytest.raises(SingularParameterError, match="Omega_d"):
+        solve_meanfield(DriveParams(Omega_d=1e160))

@@ -1,0 +1,107 @@
+"""The README's command-line reference, checked against the code.
+
+The key table's defaults, its keys, the command list, the exit-code table
+and the ``sh`` examples (the byte-identical replay included) must say what
+the program does.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from omband.cli import _ALIASES, _KINDS, _RUNNERS, RunConfig, main, parse_config
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def section(title):
+    """The text under a ``#``-heading, up to the next heading of any level."""
+    return re.search(rf"^#+ {title}\n(.*?)(?=^#+ )", README, re.M | re.S).group(1)
+
+
+KEY_ROWS = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| (.+) \|$", section("Configuration"), re.M)
+EXIT_ROWS = re.findall(r"^\| (\d+) \| (.+) \|$", section("Exit codes"), re.M)
+
+
+def test_key_table_lists_every_key_and_names_the_aliases():
+    assert [key for key, _, _ in KEY_ROWS] == list(_KINDS)
+    meaning = {key: text for key, _, text in KEY_ROWS}
+    for alias, key in _ALIASES.items():
+        assert f"`{alias}`" in meaning[key]
+
+
+@pytest.mark.parametrize("key, default", [(k, d) for k, d, _ in KEY_ROWS])
+def test_key_table_default_is_the_default(key, default):
+    assert getattr(parse_config(None, {key: default}), key) == getattr(RunConfig(), key)
+
+
+def test_command_list_is_the_commands():
+    listed = re.search(r"^Commands: (.*?)\.$", README, re.M | re.S).group(1)
+    assert re.findall(r"`([\w-]+)`", listed) == list(_RUNNERS)
+
+
+# one invocation per documented exit code
+EXITS = {
+    0: ["bands", "--n_k", "2"],
+    1: ["bands", "--n_k", "2", "--verify", "true", "--tol", "1e-3", "--rk4_steps", "16"],
+    2: ["bands", "--n_k", "1"],
+    3: ["meanfield", "--max_iter", "1"],
+    4: ["quench-trace", "--g", "0", "--kd_over_pi", "0.5"],
+    5: ["bands", "--config", "missing.cfg"],
+}
+
+
+def test_exit_code_table_lists_the_codes():
+    assert [int(code) for code, _ in EXIT_ROWS] == sorted(EXITS)
+
+
+@pytest.mark.parametrize("code", sorted(EXITS))
+def test_exit_code_is_produced(code, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(EXITS[code]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert err.startswith("omband: ") and err.count("\n") == 1
+
+
+SH_LINES = [
+    line
+    for block in re.findall(r"^```sh\n(.*?)^```", README, re.M | re.S)
+    for line in block.splitlines()
+    if line.startswith(("omband ", "grep "))
+]
+
+
+def sh(line, capsys):
+    """Run one README shell line: ``omband ...`` or ``grep '^#' FILE``, with
+    an optional ``> FILE``.  Returns the exit code and what went to stdout."""
+    words = shlex.split(line, comments=True)
+    target = None
+    if ">" in words:
+        words, (_, target) = words[:-2], words[-2:]
+    if words[0] == "omband":
+        code = main(words[1:])
+        out = capsys.readouterr().out
+    else:
+        assert words[:2] == ["grep", "^#"]
+        text = Path(words[2]).read_text(encoding="utf-8")
+        code, out = 0, "".join(ln for ln in text.splitlines(True) if ln.startswith("#"))
+    if target is not None:
+        Path(target).write_text(out, encoding="utf-8")
+    return code, out
+
+
+def test_sh_examples_exit_0_and_replay_byte_identical(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    replays = 0
+    for line in SH_LINES:
+        code, out = sh(line, capsys)
+        assert code == 0, line
+        same = re.search(r"# byte-identical to (\S+)", line)
+        if same:
+            assert out == Path(same.group(1)).read_text(encoding="utf-8")
+            replays += 1
+    assert replays == 1
