@@ -27,7 +27,9 @@ invocations, end to end, are ``bands`` and ``quench-scan`` at the three
 sizes with ``--out /dev/null``, each run as ``perfbench/run.py`` runs one:
 a fresh interpreter started with ``subprocess.run`` on the same program,
 with ``PYTHONPATH`` set to the ``src`` directory of the omband imported
-here.  Run from a checkout:
+here.  The import layer is ``import omband.cli`` in such an interpreter,
+with each module's median ``-X importtime`` self time over 21 more
+interpreters in ``extra_info["importtime_self_us"]``.  Run from a checkout:
 
     python -m pytest bench --benchmark-json=bench.json
 
@@ -38,6 +40,7 @@ Tier-1 does not collect this directory (``testpaths = ["tests"]``).
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -217,12 +220,31 @@ def test_verify_table(bench):
 
 # the program perfbench/run.py starts for each invocation
 CLI_PROGRAM = "import sys; from omband.cli import main; sys.exit(main())"
+# a fresh interpreter's environment: the omband imported here comes first
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(omband.__file__).resolve().parents[1]))
 
 
 @pytest.mark.parametrize("n_k", SIZES)
 @pytest.mark.parametrize("command", ["bands", "quench-scan"])
 def test_invocation(bench, command, n_k):
-    src = str(Path(omband.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     argv = [sys.executable, "-c", CLI_PROGRAM, command, "--n_k", str(n_k), "--out", os.devnull]
-    bench(subprocess.run, argv, env=env, check=True)
+    bench(subprocess.run, argv, env=CLI_ENV, check=True)
+
+
+IMPORTTIME_RUNS = 21
+
+
+def test_import(bench):
+    """``import omband.cli`` in a fresh interpreter; ``extra_info`` holds the
+    median ``-X importtime`` self time, in microseconds, of each omband
+    module and of ``argparse`` and ``gettext`` where they are imported."""
+    selfs: dict[str, list[int]] = {}
+    for _ in range(IMPORTTIME_RUNS):
+        argv = [sys.executable, "-X", "importtime", "-c", "import omband.cli"]
+        err = subprocess.run(argv, env=CLI_ENV, check=True, capture_output=True, text=True).stderr
+        for line in err.splitlines():
+            us, _, name = (cell.strip() for cell in line.partition(":")[2].split("|"))
+            if us.isdigit() and (name.startswith("omband") or name in ("argparse", "gettext")):
+                selfs.setdefault(name, []).append(int(us))
+    bench.extra_info["importtime_self_us"] = {k: statistics.median(v) for k, v in selfs.items()}
+    bench(subprocess.run, [sys.executable, "-c", "import omband.cli"], env=CLI_ENV, check=True)

@@ -12,25 +12,28 @@ Eight subcommands map onto the library:
     verify        internal cross-checks (closed forms vs brute force)
 
 Configuration is flat ``key = value`` text; every key can also be given
-as a ``--key value`` flag, with precedence defaults < file < flags.
-Angles accept a trailing ``pi`` token (``0.8pi``, ``-pi``).  Output is
-CSV (default) or JSON; both embed the fully resolved configuration, the
-CSV as ``# key = value`` lines that are themselves a valid config file.
-Output is byte-deterministic: floats are printed with 17 significant
-digits and nothing time- or host-dependent is emitted.
+as a ``--key value`` or ``--key=value`` flag, spelt in full, with
+precedence defaults < file < flags.  The token after a key's flag is
+always its value; the one bare token is the command; ``-h`` prints the
+usage.  Angles accept a trailing ``pi`` token (``0.8pi``, ``-pi``).
+Output is CSV (default) or JSON; both embed the fully resolved
+configuration, the CSV as ``# key = value`` lines that are themselves a
+valid config file.  Output is byte-deterministic: floats are printed
+with 17 significant digits and nothing time- or host-dependent is
+emitted.
 
-Exit codes: 0 success, 1 failed verification, 2 bad configuration,
-3 non-convergence, 4 degenerate point, 5 I/O error.  A zero gap under
-``tq_mode`` per-k or global-min leaves the ramp time undefined: a scan
-writes those rows as NaN, a trace exits 4.  A nonzero gap whose
-``tq_scale / gap`` overflows exits 2, and so does a ramp time so long
-that the propagator's closed forms overflow (a bad ``tq_value`` in fixed
-mode, a bad ``tq_scale`` otherwise).
+Exit codes: 0 success, 1 failed verification, 2 bad configuration or
+usage (an unknown command or flag, a flag with no value, a stray
+argument), 3 non-convergence, 4 degenerate point, 5 I/O error.  A zero
+gap under ``tq_mode`` per-k or global-min leaves the ramp time
+undefined: a scan writes those rows as NaN, a trace exits 4.  A nonzero
+gap whose ``tq_scale / gap`` overflows exits 2, and so does a ramp time
+so long that the propagator's closed forms overflow (a bad ``tq_value``
+in fixed mode, a bad ``tq_scale`` otherwise).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -38,7 +41,7 @@ import os
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
-from typing import TextIO
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -230,6 +233,9 @@ def _validate(cfg: RunConfig) -> None:
     def bad(key: str, why: str) -> ConfigError:
         return ConfigError(f"{key}: {why} (got {getattr(cfg, key)!r})")
 
+    for key, kind in _KINDS.items():
+        if kind == "int" and abs(getattr(cfg, key)) >= 2**63:
+            raise bad(key, "must lie strictly between -2**63 and 2**63")
     for key in ("tol", "tq_scale", "tq_value"):
         v = getattr(cfg, key)
         if not (math.isfinite(v) and v > 0):
@@ -249,6 +255,10 @@ def _validate(cfg: RunConfig) -> None:
     ):
         if getattr(cfg, key) < least:
             raise bad(key, f"must be at least {least}")
+    most = np.iinfo(np.intp).max // 8
+    for key in ("n_k", "n_t"):
+        if getattr(cfg, key) > most:
+            raise bad(key, f"must be at most {most}, the largest float64 grid numpy can size")
     if cfg.tq_mode not in ("per-k", "global-min", "fixed"):
         raise bad("tq_mode", "must be per-k, global-min or fixed")
     if cfg.format not in ("csv", "json"):
@@ -566,84 +576,82 @@ def run_command(cfg: RunConfig, command: str) -> OutputTable:
 
 # ---------------------------------------------------------------- driver
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="omband",
-        description="Band structure and ramp dynamics of a phase-driven "
-        "optomechanical ring.",
-    )
-    parser.add_argument("command", choices=_RUNNERS)
-    parser.add_argument("--config", metavar="FILE", help="flat key = value file")
-    for key in (*_KINDS, *_ALIASES):
-        parser.add_argument(f"--{key}", metavar="V", default=None)
-    return parser
+_USAGE = "usage: omband <command> [--config FILE] [--key value ...]"
+_HELP = f"{_USAGE}\ncommands: {', '.join(_RUNNERS)}\n"
 
 
-def _join_flag_values(argv: list[str]) -> list[str]:
-    """Each ``--key value`` of a config key as ``--key=value``, so that a
-    value starting with ``-`` (``-pi``, ``-1e-3``) is not read as a flag.
-    A key's flag followed by another one is left for argparse to refuse."""
-    names = {f"--{key}" for key in (*_KINDS, *_ALIASES)}
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in names and token not in names:
-            out[-1] += f"={token}"
+def _parse_argv(argv: list[str]) -> tuple[str | None, str | None, dict[str, str]]:
+    """The command, the ``--config`` path and the config flags in ``argv``,
+    by the rules in the module docstring; no command for ``-h`` or ``--help``."""
+    def usage_error(why: str) -> NoReturn:
+        print(f"omband: usage error: {why}", file=sys.stderr)
+        raise SystemExit(2)
+
+    bare: list[str] = []
+    flags: dict[str, str] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None, None, {}
+        key, eq, value = token[2:].partition("=")
+        if not token.startswith("-"):
+            bare.append(token)
+        elif not token.startswith("--") or key not in {*_KINDS, *_ALIASES, "config"}:
+            usage_error(f"unknown flag {token.partition('=')[0]!r}")
+        elif eq or (value := next(tokens, None)) is not None:
+            flags[key] = value
         else:
-            out.append(token)
-    return out
+            usage_error(f"flag {token!r} needs a value")
+    if len(bare) != 1 or bare[0] not in _RUNNERS:
+        usage_error(f"expected one command of {', '.join(_RUNNERS)}; got {bare}")
+    return bare[0], flags.pop("config", None), flags
+
+
+def _write(out: str, write: Callable[[TextIO], object]) -> int:
+    """Call ``write`` on stdout (``out`` is ``-``) or the file ``out``: 0, or 5 if it fails."""
+    try:
+        with (
+            contextlib.nullcontext(sys.stdout)
+            if out == "-"
+            else open(out, "w", encoding="utf-8", newline="\n")
+        ) as fh:
+            write(fh)
+            fh.flush()  # now rather than at exit, so that a closed pipe exits 5
+    except OSError as exc:
+        print(f"omband: cannot write output: {exc}", file=sys.stderr)
+        if out == "-":  # the exit-time flush of stdout would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 5
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
+    command, config_path, flags = _parse_argv(sys.argv[1:] if argv is None else argv)
+    if command is None:
+        return _write("-", lambda fh: fh.write(_HELP))
     try:
         file_text = None
-        if args.config is not None:
+        if config_path is not None:
             try:
-                with open(args.config, encoding="utf-8") as fh:
+                with open(config_path, encoding="utf-8") as fh:
                     file_text = fh.read()
             except OSError as exc:
                 print(f"omband: cannot read config: {exc}", file=sys.stderr)
                 return 5
-        flags = {
-            key: getattr(args, key)
-            for key in (*_KINDS, *_ALIASES)
-            if getattr(args, key) is not None
-        }
         cfg = parse_config(file_text, flags)
 
-        if cfg.verify and args.command != "verify":
+        if cfg.verify and command != "verify":
             failures = [c for c in _verify_checks(cfg) if not c[3]]
+            for name, value, threshold, _ in failures:
+                why = f"{name} = {value:.3e} (threshold {threshold:g})"
+                print(f"omband: verify failed: {why}", file=sys.stderr)
             if failures:
-                for name, value, threshold, _ in failures:
-                    print(
-                        f"omband: verify failed: {name} = {value:.3e} "
-                        f"(threshold {threshold:g})",
-                        file=sys.stderr,
-                    )
                 return 1
             print("omband: verify passed", file=sys.stderr)
 
-        table = run_command(cfg, args.command)
-        try:
-            with (
-                contextlib.nullcontext(sys.stdout)
-                if cfg.out == "-"
-                else open(cfg.out, "w", encoding="utf-8", newline="\n")
-            ) as fh:
-                write_table(table, cfg.format, fh)
-                fh.flush()  # now rather than at exit, so that a closed pipe exits 5
-        except OSError as exc:
-            print(f"omband: cannot write output: {exc}", file=sys.stderr)
-            if cfg.out == "-":  # the exit-time flush of stdout would fail again
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 5
-        if args.command == "verify" and any(not row[3] for row in table.rows):
-            return 1
-        return 0
-    except ConfigError as exc:
-        print(f"omband: config error: {exc}", file=sys.stderr)
-        return 2
+        table = run_command(cfg, command)
+        failed = command == "verify" and any(not row[3] for row in table.rows)
+        return _write(cfg.out, lambda fh: write_table(table, cfg.format, fh)) or int(failed)
     except MeanFieldConvergenceError as exc:
         print(f"omband: did not converge: {exc}", file=sys.stderr)
         return 3
@@ -651,13 +659,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"omband: degenerate point: {exc}", file=sys.stderr)
         return 4
     except OverflowError as exc:  # the ramp time overflows, or the closed forms at it
+        key = "tq_value" if cfg.tq_mode == "fixed" else "tq_scale"
         if not math.isfinite(cfg.g * cfg.g):
             key = "g"
-        else:
-            key = "tq_value" if cfg.tq_mode == "fixed" else "tq_scale"
         print(f"omband: config error: {key}: {exc}", file=sys.stderr)
         return 2
-    except (CommensurabilityError, SingularBathError, SingularParameterError) as exc:
+    except (ConfigError, CommensurabilityError, SingularBathError, SingularParameterError) as exc:
         print(f"omband: config error: {exc}", file=sys.stderr)
         return 2
 

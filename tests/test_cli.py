@@ -14,7 +14,7 @@ import pytest
 
 import omband
 from omband import DriveParams, LatticeParams, hybrid_basis, solve_meanfield
-from omband.cli import ConfigError, main, parse_config
+from omband.cli import _RUNNERS, ConfigError, main, parse_config
 from omband.quench import BathParams, thermal_populations
 
 # the narrow-band parameter set, spelled as flags
@@ -555,3 +555,80 @@ def test_kd_over_pi_whose_kd_overflows_exits_2(capsys):
         code, out, err = run_cli(capsys, "quench-trace", "--kd_over_pi", "1e308")
     assert code == 2 and out == ""
     assert err.startswith("omband: config error: kd_over_pi: ") and err.count("\n") == 1
+
+
+# ------------------------------------------------------------ argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["bands", "--n_k"],
+        ["bands", "--n_k", "3", "stray"],
+        ["bands", "--n_k", "3", "--tq_v", "2"],
+        ["bands", "--n_k", "3", "--kd", "0.3"],
+        ["bands", "--config"],
+        ["bands", "-x"],
+    ],
+    ids=["no-command", "bogus", "no-value", "stray", "tq_v", "kd", "config", "short"],
+)
+def test_usage_error_is_one_line_and_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("omband: usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bands", "--n_k", "3", "-h"]])
+def test_help_prints_the_usage_and_the_commands(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    usage, commands = out.splitlines()
+    assert usage.startswith("usage: omband <command> ")
+    assert commands == "commands: " + ", ".join(_RUNNERS)
+
+
+def test_help_into_a_closed_pipe_exits_5_with_one_line():
+    cmd, env = console_command()
+    env = {k: v for k, v in (env or os.environ).items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([*cmd, "-h"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 5
+    assert err == "omband: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_importing_the_cli_loads_no_argparse():
+    src = str(Path(omband.__file__).resolve().parents[1])
+    code = "import sys, omband.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    ran = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert ran.stdout == "[]\n"
+
+
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["verify", "--lattice_m", BIG], "lattice_m"),
+        (["verify", "--rk4_steps", BIG], "rk4_steps"),
+        (["bands", "--lattice_m", str(-(2**63))], "lattice_m"),
+        (["bands", "--n_k", str(10**30)], "n_k"),
+        (["quench-trace", "--n_t", BIG], "n_t"),
+        # below 2**63, but 8 bytes a point is past numpy's size limit
+        (["bands", "--n_k", str(2**62)], "n_k"),
+        (["quench-trace", "--n_t", str(2**60)], "n_t"),
+    ],
+    ids=["lattice_m", "rk4_steps", "lattice_m-min", "n_k-1e30", "n_t", "n_k-2**62", "n_t-2**60"],
+)
+def test_huge_integer_exits_2_naming_the_key(argv, key, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"omband: config error: {key}: ") and err.count("\n") == 1

@@ -2,14 +2,18 @@
 
 The key table's defaults, its keys, the command list, the exit-code table
 and the ``sh`` examples (the byte-identical replay included) must say what
-the program does.
+the program does, and any command line must end in a documented exit.
 """
 
+import contextlib
+import io
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from omband.cli import _ALIASES, _KINDS, _RUNNERS, RunConfig, main, parse_config
 
@@ -105,3 +109,50 @@ def test_sh_examples_exit_0_and_replay_byte_identical(capsys, tmp_path, monkeypa
             assert out == Path(same.group(1)).read_text(encoding="utf-8")
             replays += 1
     assert replays == 1
+
+
+# argv for the fuzz test below: flags spelt in full, abbreviated, with
+# ``=``, with no value, ``--config`` and ``-h``, values from a fixed list
+VALUES = st.sampled_from(
+    ["0", "1", "2", "-1", "-pi", "0.5pi", "1e-320", "1e300", "nan", "inf",
+     "csv", "json", "true", "fixed", "x", ""]
+)
+KEYS = st.sampled_from(sorted({*_KINDS, *_ALIASES}))
+TOKENS = st.one_of(
+    st.tuples(KEYS.map("--{}".format), VALUES),
+    st.tuples(st.builds(lambda k, n: f"--{k[: n % len(k)]}", KEYS, st.integers(0, 9)), VALUES),
+    st.builds("--{}={}".format, KEYS, VALUES).map(lambda t: (t,)),
+    KEYS.map(lambda k: (f"--{k}",)),
+    VALUES.map(lambda v: ("--config", v)),
+    VALUES.map(lambda v: (v,)),
+    st.just(("-h",)),
+)
+
+
+@settings(
+    max_examples=250, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from([*_RUNNERS, "bogus"]),
+    tokens=st.lists(TOKENS, max_size=3).map(lambda ts: [t for tt in ts for t in tt]),
+)
+def test_any_command_line_ends_in_a_documented_exit(command, tokens, tmp_path, monkeypatch):
+    # --rk4_steps 16 first, and every other int at most 2, so no run is long;
+    # --out and --config name files in the test's own directory
+    monkeypatch.chdir(tmp_path)
+    argv = ["--rk4_steps", "16", command, *tokens]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and err.getvalue().startswith("omband: usage error: ")
+            code = exc.code
+    assert code in {int(c) for c, _ in EXIT_ROWS}
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith("omband: ") for line in lines)
+    if code == 1:  # verify's own table, or one line per check that --verify true failed
+        assert command == "verify" or out.getvalue() == ""
+    elif code:
+        assert out.getvalue() == "" and len(lines) == 1
