@@ -22,14 +22,16 @@ valid config file.  Output is byte-deterministic: floats are printed
 with 17 significant digits and nothing time- or host-dependent is
 emitted.
 
-Exit codes: 0 success, 1 failed verification, 2 bad configuration or
-usage (an unknown command or flag, a flag with no value, a stray
-argument), 3 non-convergence, 4 degenerate point, 5 I/O error.  A zero
-gap under ``tq_mode`` per-k or global-min leaves the ramp time
-undefined: a scan writes those rows as NaN, a trace exits 4.  A nonzero
-gap whose ``tq_scale / gap`` overflows exits 2, and so does a ramp time
-so long that the propagator's closed forms overflow (a bad ``tq_value``
-in fixed mode, a bad ``tq_scale`` otherwise).
+Exit codes: 0 success, 1 failed verification (``--verify true`` writes
+one line that names every failed check), 2 bad configuration or usage (a
+value outside its key's accepted values, which ``_RANGES`` declares once
+and the error line names; an unknown command or flag, a flag with no
+value, a stray argument), 3 non-convergence, 4 degenerate point, 5 I/O
+error.  A zero gap under ``tq_mode`` per-k or global-min leaves the ramp
+time undefined: a scan writes those rows as NaN, a trace exits 4.  A
+nonzero gap whose ``tq_scale / gap`` overflows exits 2, and so does a
+ramp time so long that the propagator's closed forms overflow (a bad
+``tq_value`` in fixed mode, a bad ``tq_scale`` otherwise).
 """
 
 from __future__ import annotations
@@ -223,46 +225,44 @@ class RunConfig:
 _KINDS = {f.name: f.type for f in fields(RunConfig) if f.init}
 
 
+# Each key that no library parameter type checks (QuenchTimeRule checks only
+# the one of tq_scale and tq_value its mode uses, naming neither): its closed
+# range (least, most), which NaN fails, or its allowed words.
+_POSITIVE = (5e-324, sys.float_info.max)
+_GRID = (2, np.iinfo(np.intp).max // 8)  # the most points whose float64 grid numpy can size
+_RANGES: dict[str, tuple] = {
+    "tol": _POSITIVE,
+    "max_iter": (1, 2**63 - 1),
+    "damping": (5e-324, 1.0),
+    "n_k": _GRID,
+    "n_t": _GRID,
+    "kd_over_pi": (-sys.float_info.max / math.pi, sys.float_info.max / math.pi),  # kd finite
+    "tq_mode": ("per-k", "global-min", "fixed"),
+    "tq_scale": _POSITIVE,
+    "tq_value": _POSITIVE,
+    "rk4_steps": (16, 65536),  # about 4 s of verify's RK4 batch at the top
+    "lattice_N": (2, 128),  # about 5 s of Jacobi sweeps at the top
+    "lattice_m": (1 - 2**63, 2**63 - 1),
+    "format": ("csv", "json"),
+}
+
+
+def _check(key: str, value: object) -> None:
+    """Raise ConfigError, naming ``key`` and its ``_RANGES`` entry, unless ``value`` is in it."""
+    accepted = _RANGES[key]
+    if isinstance(accepted[0], str):
+        if value not in accepted:
+            raise ConfigError(f"{key}: must be one of {', '.join(accepted)} (got {value!r})")
+    elif not accepted[0] <= value <= accepted[1]:
+        raise ConfigError(f"{key}: must lie in [{accepted[0]!r}, {accepted[1]!r}] (got {value!r})")
+
+
 def _validate(cfg: RunConfig) -> None:
-    """Check the keys that no library parameter type checks.
-
-    QuenchTimeRule checks only the one of tq_scale and tq_value that its
-    mode uses, and its messages name neither key, so both are checked here.
-    """
-
-    def bad(key: str, why: str) -> ConfigError:
-        return ConfigError(f"{key}: {why} (got {getattr(cfg, key)!r})")
-
-    for key, kind in _KINDS.items():
-        if kind == "int" and abs(getattr(cfg, key)) >= 2**63:
-            raise bad(key, "must lie strictly between -2**63 and 2**63")
-    for key in ("tol", "tq_scale", "tq_value"):
-        v = getattr(cfg, key)
-        if not (math.isfinite(v) and v > 0):
-            raise bad(key, "must be positive")
-    if not math.isfinite(cfg.kd_over_pi * math.pi):
-        raise bad("kd_over_pi", "kd = kd_over_pi * pi must be finite")
+    """Check the keys that no library parameter type checks."""
+    for key in _RANGES:
+        _check(key, getattr(cfg, key))
     if not (cfg.theta_list and all(map(math.isfinite, cfg.theta_list))):
-        raise bad("theta_list", "must be a non-empty list of finite angles")
-    if not (0.0 < cfg.damping <= 1.0):
-        raise bad("damping", "must lie in (0, 1]")
-    for key, least in (
-        ("max_iter", 1),
-        ("n_k", 2),
-        ("n_t", 2),
-        ("lattice_N", 2),
-        ("rk4_steps", 16),
-    ):
-        if getattr(cfg, key) < least:
-            raise bad(key, f"must be at least {least}")
-    most = np.iinfo(np.intp).max // 8
-    for key in ("n_k", "n_t"):
-        if getattr(cfg, key) > most:
-            raise bad(key, f"must be at most {most}, the largest float64 grid numpy can size")
-    if cfg.tq_mode not in ("per-k", "global-min", "fixed"):
-        raise bad("tq_mode", "must be per-k, global-min or fixed")
-    if cfg.format not in ("csv", "json"):
-        raise bad("format", "must be csv or json")
+        raise ConfigError(f"theta_list: must be one or more finite angles (got {cfg.theta_list!r})")
 
 
 def _read_assignments(source: str, text: str) -> dict[str, str]:
@@ -377,8 +377,7 @@ def _pieces(table: OutputTable, fmt: str) -> Iterator[str]:
     """The table's text in order: the header, the body in blocks of
     ``_BLOCK_ROWS`` rows, then the trailer.  A bad ``fmt`` raises
     ConfigError at the first step, before anything is yielded."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json (got {fmt!r})")
+    _check("format", fmt)
     if fmt == "csv":
         head = "".join(f"# {k} = {v}\n" for k, v in table.metadata.items())
         yield head + ",".join(table.columns) + "\n"
@@ -641,11 +640,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(file_text, flags)
 
         if cfg.verify and command != "verify":
-            failures = [c for c in _verify_checks(cfg) if not c[3]]
-            for name, value, threshold, _ in failures:
-                why = f"{name} = {value:.3e} (threshold {threshold:g})"
+            failed = [c for c in _verify_checks(cfg) if not c[3]]
+            if failed:  # one line that names every failed check
+                why = "; ".join("%s = %.3e (threshold %g)" % c[:3] for c in failed)
                 print(f"omband: verify failed: {why}", file=sys.stderr)
-            if failures:
                 return 1
             print("omband: verify passed", file=sys.stderr)
 

@@ -106,7 +106,7 @@ def coupling_schedule(s: QuenchSchedule, t: float) -> float:
     """Instantaneous coupling at time ``t`` of the ramp (0 <= t <= t_q)."""
     if not (0.0 <= t <= s.t_q):
         raise ValueError(f"t={t!r} outside the ramp interval [0, {s.t_q}]")
-    return s.g0 * (1.0 - 2.0 * t / s.t_q)
+    return s.g0 * (1.0 - 2.0 * (t / s.t_q))  # 2t overflows at t_q ~ 1e308
 
 
 class SingularBathError(ValueError):
@@ -239,10 +239,9 @@ def _theta_series(g0: float, d: float, t_q: float, t: float) -> complex:
 
 def _phi_groupings(d: float, t_q: float, t: float) -> tuple[float, float, float]:
     zeta = 0.5 * t * t - 2.0 * t**3 / (3.0 * t_q)
-    # d*d can underflow to zero for subnormal d; use the d -> 0 limits then
-    limit = 2.0 * t_q * d * d == 0.0
     s = np.sin(2.0 * d * t)
     c = np.cos(2.0 * d * t)
+    # magnus_terms reads only zeta, also at d = 0, where xi and chi divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = 1.0 - c + (2.0 * t / t_q) * c - s / (t_q * d)
         chi = (
@@ -252,7 +251,7 @@ def _phi_groupings(d: float, t_q: float, t: float) -> tuple[float, float, float]
             + t * s / (t_q * d)
             + (c - 1.0) / (2.0 * t_q * d * d)
         )
-    return np.where(limit, 0.0, xi), zeta, np.where(limit, 0.0, chi)
+    return xi, zeta, chi
 
 
 def _phi_closed(g0: float, d: float, t_q: float, t: float) -> float:
@@ -364,7 +363,7 @@ def _ramp_map(delta: np.ndarray, g0: float, t_q: np.ndarray, t: np.ndarray) -> t
     non-finite ``S``; finite inputs give a finite ``S`` otherwise.
     """
     R0 = _rotation(g0, delta)
-    Rt = _rotation(g0 * (1.0 - 2.0 * np.asarray(t) / t_q), delta)
+    Rt = _rotation(g0 * (1.0 - 2.0 * (np.asarray(t) / t_q)), delta)  # 2t overflows at t_q ~ 1e308
     S = propagator_array(g0, delta, t_q, t)
     if not np.isfinite(S).all():
         t_max = float(np.max(t_q))

@@ -632,3 +632,16 @@ def test_huge_integer_exits_2_naming_the_key(argv, key, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"omband: config error: {key}: ") and err.count("\n") == 1
+
+
+def test_verify_true_names_every_failed_check_in_one_line(capsys):
+    code, out, err = run_cli(
+        capsys, "bands", "--n_k", "2", "--verify", "true", "--rk4_steps", "16", "--J", "1e300"
+    )
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("omband: verify failed: ")
+    failed = err[len("omband: verify failed: "):].rstrip("\n").split("; ")
+    assert [why.split(" = ")[0] for why in failed] == [
+        "magnus_vs_rk4", "propagator_unitarity", "lattice_vs_bloch"
+    ]
+    assert all(why.endswith(")") and " (threshold " in why for why in failed)

@@ -104,6 +104,13 @@ def test_schedule_endpoints():
         QuenchSchedule(g0=0.1, t_q=0.0)
 
 
+def test_schedule_at_the_largest_ramp_time():
+    # 2 t overflows here, but the fraction t / t_q of the ramp does not
+    big = 1.7976931348623157e308
+    s = QuenchSchedule(g0=0.1, t_q=big)
+    assert (s.g(big), s.g(big / 2)) == (-0.1, 0.0)
+
+
 def test_frozen_magnus_instance():
     th = magnus_theta(0.1, FROZEN_DELTA, FROZEN_TQ, FROZEN_TQ)
     ph = magnus_phi(0.1, FROZEN_DELTA, FROZEN_TQ, FROZEN_TQ)

@@ -7,6 +7,8 @@ the program does, and any command line must end in a documented exit.
 
 import contextlib
 import io
+import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from omband.cli import _ALIASES, _KINDS, _RUNNERS, RunConfig, main, parse_config
+from omband.cli import (
+    _ALIASES, _KINDS, _RANGES, _RUNNERS, ConfigError, RunConfig, main, parse_config,
+)
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -26,6 +30,9 @@ def section(title):
 
 
 KEY_ROWS = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| (.+) \|$", section("Configuration"), re.M)
+ACCEPTED = dict(
+    re.findall(r"^\| `(\w+)` \| [^|]+? \| ([^|]+?) \| .+ \|$", section("Configuration"), re.M)
+)
 EXIT_ROWS = re.findall(r"^\| (\d+) \| (.+) \|$", section("Exit codes"), re.M)
 
 
@@ -39,6 +46,37 @@ def test_key_table_lists_every_key_and_names_the_aliases():
 @pytest.mark.parametrize("key, default", [(k, d) for k, d, _ in KEY_ROWS])
 def test_key_table_default_is_the_default(key, default):
     assert getattr(parse_config(None, {key: default}), key) == getattr(RunConfig(), key)
+
+
+# the words the key table uses for the keys that the library types check
+# (the values each accepts, and some it refuses)
+WORDS = {
+    "finite": (["0", "-1e300", "1e300"], ["inf", "-inf", "nan"]),
+    "finite, >= 0": (["0", "1e300"], ["-5e-324", "inf", "nan"]),
+    "finite, > 0": (["5e-324", "1e300"], ["0", "inf", "nan"]),
+}
+
+
+def test_key_table_states_the_accepted_values():
+    assert list(ACCEPTED) == list(_KINDS)
+    assert {key for key, kind in _KINDS.items() if kind == "int"} <= set(_RANGES)
+    for key, text in ACCEPTED.items():
+        accepted = _RANGES.get(key)
+        if accepted is None:
+            assert "[" not in text and "`" not in text, key
+            ok, bad = WORDS.get(text, ([], []))
+            for value in ok:
+                parse_config(None, {key: value})
+            for value in bad:
+                with pytest.raises(ConfigError, match=f"^{key}"):
+                    parse_config(None, {key: value})
+        elif isinstance(accepted[0], str):
+            assert re.fullmatch(r"`[\w-]+`(, `[\w-]+`)*", text), key
+            assert tuple(re.findall(r"`([\w-]+)`", text)) == accepted
+        else:
+            stated = json.loads(re.fullmatch(r"`(\[.+\])`", text).group(1))
+            assert stated == list(accepted), key
+            assert list(map(type, stated)) == list(map(type, accepted)), key
 
 
 def test_command_list_is_the_commands():
@@ -156,3 +194,56 @@ def test_any_command_line_ends_in_a_documented_exit(command, tokens, tmp_path, m
         assert command == "verify" or out.getvalue() == ""
     elif code:
         assert out.getvalue() == "" and len(lines) == 1
+
+
+def value_draws(key):
+    """(text, accepted) for each value the fuzz test below draws for a key of
+    ``_RANGES``: both ends, one step past each, and 0, +-5e-324, 1e300, inf
+    and nan; for a key of words, each word and two that are not."""
+    accepted = _RANGES[key]
+    if isinstance(accepted[0], str):
+        return [(word, word in accepted) for word in (*accepted, "x", "nan")]
+    least, most = accepted
+    if isinstance(least, int):
+        past = [least - 1, most + 1]
+    else:
+        past = [math.nextafter(least, -math.inf), math.nextafter(most, math.inf)]
+    return [
+        (repr(v), isinstance(v, type(least)) and least <= v <= most)
+        for v in (least, most, *past, type(least)(0), 5e-324, -5e-324, 1e300, math.inf, math.nan)
+    ]
+
+
+# each key goes to a command that reads it; a size larger than 16 goes only
+# to meanfield, which reads none, so no draw makes a long or large run
+READER = {
+    "tol": "meanfield", "max_iter": "meanfield", "damping": "meanfield",
+    "n_k": "bands", "n_t": "quench-trace", "kd_over_pi": "quench-trace",
+    "tq_mode": "quench-scan", "tq_scale": "quench-trace", "tq_value": "quench-trace",
+    "rk4_steps": "verify", "lattice_N": "verify", "lattice_m": "verify", "format": "bands",
+}
+SIZES = ("n_k", "n_t", "rk4_steps", "lattice_N")
+
+
+@settings(
+    max_examples=200, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(draw=st.sampled_from([(key, *d) for key in _RANGES for d in value_draws(key)]))
+def test_any_value_of_a_ranged_key_ends_in_a_documented_exit(draw, tmp_path, monkeypatch):
+    key, text, inside = draw
+    monkeypatch.chdir(tmp_path)
+    small = key not in SIZES or not text.isdigit() or int(text) <= 16
+    argv = [READER[key] if small else "meanfield", "--n_k", "9", "--n_t", "9",
+            "--rk4_steps", "16", "--tq_mode", "fixed" if key == "tq_value" else "per-k",
+            f"--{key}", text]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if not inside:
+        assert code == 2 and out.getvalue() == "" and len(lines) == 1
+        assert lines[0].startswith(f"omband: config error: {key}: ")
+    else:
+        assert code in {int(c) for c, _ in EXIT_ROWS}
+        assert all(line.startswith("omband: ") for line in lines)
