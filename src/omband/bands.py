@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LatticeParams, coeff_arrays, reduced_coeffs
+from .model import LatticeParams, check, coeff_arrays, reduced_coeffs
 
 __all__ = [
     "DegeneratePointError",
@@ -183,9 +183,8 @@ def band_scan(p: LatticeParams, n_k: int = 512, *, kd: np.ndarray | None = None)
     """
     if kd is not None:
         kds = np.asarray(kd, dtype=float)
-    elif n_k < 2:
-        raise ValueError(f"n_k must be at least 2, got {n_k}")
     else:
+        check("n_k", n_k, (2, math.inf))
         kds = np.linspace(-math.pi, math.pi, n_k)
     Omega, xi, delta = coeff_arrays(p, kds)
     mid = 0.5 * (Omega - xi)
@@ -249,8 +248,7 @@ def gap_extrema(
     sorted by ``kd``, folded into [-pi, pi).  ``n_k_coarse`` (at least 64)
     and ``refine_tol`` are not used.
     """
-    if n_k_coarse < 64:
-        raise ValueError(f"n_k_coarse must be at least 64, got {n_k_coarse}")
+    check("n_k_coarse", n_k_coarse, (64, math.inf))
     c0 = 0.5 * (p.omega_m + p.Delta)
     A, phi = cmath.polar(cmath.rect(p.J, p.theta) - p.K)
     top = 2.0 * math.hypot(p.g, abs(c0) + A)

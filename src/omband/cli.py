@@ -24,14 +24,18 @@ emitted.
 
 Exit codes: 0 success, 1 failed verification (``--verify true`` writes
 one line that names every failed check), 2 bad configuration or usage (a
-value outside its key's accepted values, which ``_RANGES`` declares once
-and the error line names; an unknown command or flag, a flag with no
-value, a stray argument), 3 non-convergence, 4 degenerate point, 5 I/O
-error.  A zero gap under ``tq_mode`` per-k or global-min leaves the ramp
-time undefined: a scan writes those rows as NaN, a trace exits 4.  A
-nonzero gap whose ``tq_scale / gap`` overflows exits 2, and so does a
-ramp time so long that the propagator's closed forms overflow (a bad
-``tq_value`` in fixed mode, a bad ``tq_scale`` otherwise).
+value outside its key's accepted values, declared once in ``_RANGES`` or
+in the library type that takes the key, and refused by
+:func:`omband.model.check` in one ``<key>: must lie in [least, most]``
+line; an unknown command or flag, a flag with no value, a stray
+argument), 3 non-convergence, 4 degenerate point, 5 I/O error.  A zero
+gap under ``tq_mode`` per-k or global-min leaves the ramp time undefined:
+a scan writes those rows as NaN, a trace exits 4.  A nonzero gap whose
+``tq_scale / gap`` overflows exits 2, and so does a ramp time so long
+that the propagator's closed forms overflow (a bad ``tq_value`` in fixed
+mode, a bad ``tq_scale`` otherwise): from about ``t_q = 4e10`` on the
+series branch (``|2 delta t_q| < 0.5``, powers of ``t_q`` up to the 29th)
+and about ``t_q = 4e102`` on the closed-form branch.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .meanfield import (
     SingularParameterError,
     solve_meanfield,
 )
-from .model import LatticeParams, coeff_arrays
+from .model import POSITIVE, LatticeParams, check, coeff_arrays
 from .oracle import (
     CommensurabilityError,
     _rk4_ramp,
@@ -225,21 +229,21 @@ class RunConfig:
 _KINDS = {f.name: f.type for f in fields(RunConfig) if f.init}
 
 
-# Each key that no library parameter type checks (QuenchTimeRule checks only
-# the one of tq_scale and tq_value its mode uses, naming neither): its closed
-# range (least, most), which NaN fails, or its allowed words.
-_POSITIVE = (5e-324, sys.float_info.max)
+# The accepted values of each key that no library parameter type checks under
+# the key's own name, in model.check's form: a closed range (least, most),
+# which NaN fails, or the allowed words.  The library types check the other
+# keys through model.check too.
 _GRID = (2, np.iinfo(np.intp).max // 8)  # the most points whose float64 grid numpy can size
 _RANGES: dict[str, tuple] = {
-    "tol": _POSITIVE,
+    "tol": POSITIVE,
     "max_iter": (1, 2**63 - 1),
     "damping": (5e-324, 1.0),
     "n_k": _GRID,
     "n_t": _GRID,
     "kd_over_pi": (-sys.float_info.max / math.pi, sys.float_info.max / math.pi),  # kd finite
     "tq_mode": ("per-k", "global-min", "fixed"),
-    "tq_scale": _POSITIVE,
-    "tq_value": _POSITIVE,
+    "tq_scale": POSITIVE,
+    "tq_value": POSITIVE,
     "rk4_steps": (16, 65536),  # about 4 s of verify's RK4 batch at the top
     "lattice_N": (2, 128),  # about 5 s of Jacobi sweeps at the top
     "lattice_m": (1 - 2**63, 2**63 - 1),
@@ -248,13 +252,11 @@ _RANGES: dict[str, tuple] = {
 
 
 def _check(key: str, value: object) -> None:
-    """Raise ConfigError, naming ``key`` and its ``_RANGES`` entry, unless ``value`` is in it."""
-    accepted = _RANGES[key]
-    if isinstance(accepted[0], str):
-        if value not in accepted:
-            raise ConfigError(f"{key}: must be one of {', '.join(accepted)} (got {value!r})")
-    elif not accepted[0] <= value <= accepted[1]:
-        raise ConfigError(f"{key}: must lie in [{accepted[0]!r}, {accepted[1]!r}] (got {value!r})")
+    """:func:`~omband.model.check` against ``key``'s ``_RANGES`` entry, raising ConfigError."""
+    try:
+        check(key, value, _RANGES[key])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _validate(cfg: RunConfig) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import LatticeParams
+from .model import NONNEGATIVE, LatticeParams, check
 
 __all__ = [
     "DriveParams",
@@ -70,11 +70,7 @@ class DriveParams:
 
     def __post_init__(self) -> None:
         for name in ("Omega_d", "G", "kappa", "gamma_m"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            if v < 0:
-                raise ValueError(f"{name} must be non-negative, got {v!r}")
+            check(name, getattr(self, name), NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,8 @@ def solve_meanfield(
     reported ``residual`` re-substitutes the final pair into both
     defining equations, independently of the iteration path.
     """
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if not (0.0 < damping <= 1.0):
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    check("tol", tol, (5e-324, math.inf))
+    check("damping", damping, (5e-324, 1.0))
     p = drive.lattice
     den_a0 = complex(p.Delta + 0.5j * drive.kappa + 2.0 * p.J * math.cos(p.theta))
     den_b = complex(p.omega_m - 0.5j * drive.gamma_m - 2.0 * p.K)

@@ -25,11 +25,16 @@ equivalent to their folded images.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "FINITE",
+    "NONNEGATIVE",
+    "POSITIVE",
+    "check",
     "LatticeParams",
     "ReducedCoeffs",
     "reduced_coeffs",
@@ -38,6 +43,31 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+#: The closed ranges of the finite floats, of those >= 0 and of those > 0.
+FINITE = (-sys.float_info.max, sys.float_info.max)
+NONNEGATIVE = (0.0, sys.float_info.max)
+POSITIVE = (5e-324, sys.float_info.max)
+
+
+def check(name: str, value: object, accepted: tuple) -> None:
+    """Raise ValueError, naming ``name`` and ``accepted``, unless ``value`` is in it.
+
+    ``accepted`` is a closed range ``(least, most)``, which NaN and every
+    non-number fail, or a tuple of the allowed words.  The message is
+    ``<name>: must lie in [least, most] (got value)``, or ``<name>: must be
+    one of ...`` for words.
+    """
+    if isinstance(accepted[0], str):
+        if value not in accepted:
+            raise ValueError(f"{name}: must be one of {', '.join(accepted)} (got {value!r})")
+        return
+    try:
+        inside = accepted[0] <= value <= accepted[1]  # type: ignore[operator]
+    except TypeError:
+        inside = False
+    if not inside:
+        raise ValueError(f"{name}: must lie in [{accepted[0]!r}, {accepted[1]!r}] (got {value!r})")
 
 
 def _fold_angle(theta: float) -> float:
@@ -50,7 +80,7 @@ def _fold_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Physical parameters of the ring, all in rad/ns.
+    """Physical parameters of the ring, all finite and in rad/ns.
 
     Attributes
     ----------
@@ -77,16 +107,11 @@ class LatticeParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_m", "Delta", "J", "K", "g", "theta"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if self.omega_m <= 0:
-            raise ValueError(f"omega_m must be positive, got {self.omega_m}")
-        if self.J < 0:
-            raise ValueError(f"J must be non-negative, got {self.J}")
-        if self.K < 0:
-            raise ValueError(f"K must be non-negative, got {self.K}")
+        for name, accepted in (
+            ("omega_m", POSITIVE), ("Delta", FINITE), ("J", NONNEGATIVE), ("K", NONNEGATIVE),
+            ("g", FINITE), ("theta", FINITE),
+        ):
+            check(name, getattr(self, name), accepted)
         object.__setattr__(self, "theta", _fold_angle(float(self.theta)))
         # normalize any ints handed in so downstream arithmetic is uniform
         for name in ("omega_m", "Delta", "J", "K", "g"):
@@ -107,13 +132,6 @@ class ReducedCoeffs:
     delta: float
 
 
-def _check_kd(kd: float) -> float:
-    kd = float(kd)
-    if not math.isfinite(kd):
-        raise ValueError(f"kd must be finite, got {kd!r}")
-    return kd
-
-
 def coeff_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:
     """Omega, xi and delta elementwise over an array of quasimomenta ``kd``."""
     kd = np.asarray(kd, dtype=float)
@@ -124,7 +142,8 @@ def coeff_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def reduced_coeffs(p: LatticeParams, kd: float) -> ReducedCoeffs:
     """Evaluate Omega, xi and their half-sum delta at quasimomentum ``kd``."""
-    Omega, xi, delta = coeff_arrays(p, _check_kd(kd))
+    check("kd", kd, FINITE)
+    Omega, xi, delta = coeff_arrays(p, float(kd))
     return ReducedCoeffs(Omega=float(Omega), xi=float(xi), delta=float(delta))
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .bands import band_energies
-from .model import LatticeParams, reduced_coeffs
+from .model import LatticeParams, check, reduced_coeffs
 from .quench import QuenchSchedule, magnus_propagator
 
 __all__ = [
@@ -142,8 +142,7 @@ def integrate_interaction_picture(
     analytic Rabi checks); the Magnus comparison is skipped then and
     ``magnus_deviation`` comes back NaN.
     """
-    if n_steps < 16:
-        raise ValueError(f"n_steps must be at least 16, got {n_steps}")
+    check("n_steps", n_steps, (16, math.inf))
     rc = reduced_coeffs(p, kd)
 
     if g_const is None:
@@ -318,8 +317,7 @@ def finite_lattice_spectrum(p: LatticeParams, N_sites: int, m: int) -> LatticeSp
     ``2 pi m / N_sites`` modulo ``2 pi`` (to 1e-9, leaving room for
     config round-trips); an incommensurate phase cannot close the ring.
     """
-    if N_sites < 2:
-        raise ValueError(f"N_sites must be at least 2, got {N_sites}")
+    check("N_sites", N_sites, (2, math.inf))
     target = 2.0 * math.pi * m / N_sites
     if abs(math.remainder(p.theta - target, 2.0 * math.pi)) > 1e-9:
         raise CommensurabilityError(

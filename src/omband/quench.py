@@ -43,7 +43,8 @@ import numpy as np
 
 from .bands import DegeneratePointError, basis_arrays, gap_array, gap_extrema
 from .bands import gap, hybrid_basis  # noqa: F401 -- rebound by perfbench/tracer.py
-from .model import LatticeParams, coeff_arrays, reduced_coeffs
+from .model import FINITE, NONNEGATIVE, POSITIVE, LatticeParams, check
+from .model import coeff_arrays, reduced_coeffs
 
 __all__ = [
     "QuenchSchedule",
@@ -93,10 +94,8 @@ class QuenchSchedule:
     t_q: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.g0):
-            raise ValueError(f"g0 must be finite, got {self.g0!r}")
-        if not (math.isfinite(self.t_q) and self.t_q > 0):
-            raise ValueError(f"t_q must be positive, got {self.t_q!r}")
+        check("g0", self.g0, FINITE)
+        check("t_q", self.t_q, POSITIVE)
 
     def g(self, t: float) -> float:
         return coupling_schedule(self, t)
@@ -104,8 +103,7 @@ class QuenchSchedule:
 
 def coupling_schedule(s: QuenchSchedule, t: float) -> float:
     """Instantaneous coupling at time ``t`` of the ramp (0 <= t <= t_q)."""
-    if not (0.0 <= t <= s.t_q):
-        raise ValueError(f"t={t!r} outside the ramp interval [0, {s.t_q}]")
+    check("t", t, (0.0, s.t_q))
     return s.g0 * (1.0 - 2.0 * (t / s.t_q))  # 2t overflows at t_q ~ 1e308
 
 
@@ -127,14 +125,10 @@ class BathParams:
     n_th: float = 100.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be non-negative, got {self.kappa!r}")
-        if not (math.isfinite(self.Gamma) and self.Gamma >= 0):
-            raise ValueError(f"Gamma must be non-negative, got {self.Gamma!r}")
+        for name in ("kappa", "Gamma", "n_th"):
+            check(name, getattr(self, name), NONNEGATIVE)
         if self.kappa + self.Gamma <= 0:
-            raise ValueError("kappa + Gamma must be positive")
-        if not (math.isfinite(self.n_th) and self.n_th >= 0):
-            raise ValueError(f"n_th must be non-negative, got {self.n_th!r}")
+            raise ValueError("kappa: kappa + Gamma must be positive")
 
 
 #: Documented defaults used for all population figures; fully configurable.
@@ -165,8 +159,7 @@ def thermal_populations(alpha_A: float, bath: BathParams) -> ThermalPopulations:
     vanishes (e.g. kappa = 0 for a purely photonic mode), since that
     mode then has no steady state.
     """
-    if not (0.0 <= alpha_A <= 1.0):
-        raise ValueError(f"alpha_A must lie in [0, 1], got {alpha_A!r}")
+    check("alpha_A", alpha_A, (0.0, 1.0))
     return ThermalPopulations(*(float(x) for x in thermal_arrays(alpha_A, bath)))
 
 
@@ -207,12 +200,10 @@ class MagnusTerms:
 
 
 def _check_ramp_args(g0: float, delta_half: float, t_q: float, t: float) -> None:
-    if not (math.isfinite(t_q) and t_q > 0):
-        raise ValueError(f"t_q must be positive, got {t_q!r}")
-    if not (0.0 <= t <= t_q):
-        raise ValueError(f"t={t!r} outside the ramp interval [0, {t_q}]")
-    if not (math.isfinite(g0) and math.isfinite(delta_half)):
-        raise ValueError("g0 and delta_half must be finite")
+    check("t_q", t_q, POSITIVE)
+    check("t", t, (0.0, t_q))
+    check("g0", g0, FINITE)
+    check("delta_half", delta_half, FINITE)
 
 
 def _ramp_moment(n: int, t_q: float, t: float) -> float:
@@ -447,8 +438,7 @@ def quench_trace_array(
     basis is degenerate at any sample, and OverflowError if ``s.t_q`` is
     so long that the closed forms overflow.
     """
-    if n_t < 2:
-        raise ValueError(f"n_t must be at least 2, got {n_t}")
+    check("n_t", n_t, (2, math.inf))
     t = np.linspace(0.0, s.t_q, n_t)
     M, alpha_A = _ramp_map(reduced_coeffs(p, kd).delta, s.g0, s.t_q, t)
     pops = _populations(M, *thermal_arrays(alpha_A, bath), bath.n_th)
@@ -478,14 +468,11 @@ class QuenchTimeRule:
     t_q: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("per-k", "global-min", "fixed"):
-            raise ValueError(f"unknown t_q mode {self.mode!r}")
+        check("mode", self.mode, ("per-k", "global-min", "fixed"))
         if self.mode == "fixed":
-            if self.t_q is None or not (math.isfinite(self.t_q) and self.t_q > 0):
-                raise ValueError("fixed mode needs a positive t_q")
+            check("t_q", self.t_q, POSITIVE)
         else:
-            if not (math.isfinite(self.scale) and self.scale > 0):
-                raise ValueError(f"scale must be positive, got {self.scale!r}")
+            check("scale", self.scale, POSITIVE)
 
 
 def ramp_times(p: LatticeParams, rule: QuenchTimeRule, kd: np.ndarray) -> np.ndarray:
@@ -531,8 +518,7 @@ def quench_scan_array(
     overflow raises OverflowError, as :func:`ramp_times` does for an
     infinite one.
     """
-    if n_k < 2:
-        raise ValueError(f"n_k must be at least 2, got {n_k}")
+    check("n_k", n_k, (2, math.inf))
     if theta is not None:
         p = replace(p, theta=theta)
     kd = np.linspace(-math.pi, math.pi, n_k)

@@ -435,6 +435,24 @@ def test_overflowing_coupling_exits_2_naming_g(command, capsys):
     assert err.startswith("omband: config error: g: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("quench-scan", "--g", "1e-16", "--n_k", "9"), 2),  # a delta = 0 row at t_q = 5e11
+        (("quench-scan", "--g", "1e-16", "--n_k", "8"), 0),  # no such row on the grid
+        (("quench-trace", "--g", "1e-20", "--kd_over_pi", "0.5"), 2),  # t_q = 5e15
+    ],
+)
+def test_series_branch_ramp_overflows_exit_2(argv, code, capsys):
+    # the series branch raises t_q up to the 29th power, so it overflows from
+    # about t_q = 4e10, where the closed form lasts to about 4e102 (README)
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("omband: config error: ")
+
+
 def test_zero_coupling_global_min_scan_writes_nan_rows(capsys):
     # at g = 0 the zone's minimum gap is exactly 0: no finite global ramp time
     argv = ("quench-scan", "--g", "0", "--tq_mode", "global-min", "--n_k", "33")

@@ -43,6 +43,7 @@ from omband.quench import (
     _phi_series,
     _theta_closed,
     _theta_series,
+    propagator_array,
     quench_scan_array,
     quench_trace_array,
     ramp_times,
@@ -418,6 +419,16 @@ def test_trace_array_matches_records(params, rule, request):
     assert trace.shape == (33, len(QUENCH_COLUMNS))
     assert np.all(trace[:, 0] == kd) and trace[-1, 1] == s.t_q
     np.testing.assert_array_equal(trace, record_table(quench_trace(p, kd, s, n_t=33)))
+
+
+@pytest.mark.parametrize(
+    "delta_half, finite_at, overflows_at", [(0.0, 3e10, 1e11), (1e-3, 3e102, 1e103)],
+    ids=["series", "closed"],
+)
+def test_ramp_overflow_thresholds(delta_half, finite_at, overflows_at):
+    # the README's thresholds: t_q**29 on the series branch, t_q**3 on the closed form
+    for t_q, finite in ((finite_at, True), (overflows_at, False)):
+        assert np.isfinite(propagator_array(0.1, delta_half, t_q, t_q)).all() == finite
 
 
 @pytest.mark.parametrize("g", [0.1, 0.0], ids=["wide", "g0"])

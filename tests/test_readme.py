@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from omband.cli import (
     _ALIASES, _KINDS, _RANGES, _RUNNERS, ConfigError, RunConfig, main, parse_config,
 )
+from omband.model import FINITE, NONNEGATIVE, POSITIVE
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -77,6 +78,37 @@ def test_key_table_states_the_accepted_values():
             stated = json.loads(re.fullmatch(r"`(\[.+\])`", text).group(1))
             assert stated == list(accepted), key
             assert list(map(type, stated)) == list(map(type, accepted)), key
+
+
+def test_legend_states_the_library_ranges():
+    legend = re.findall(r"`(finite[^`]*)` is `(\[.+?\])`", section("Configuration"))
+    stated = {words: json.loads(text) for words, text in legend}
+    ranges = {"finite": FINITE, "finite, >= 0": NONNEGATIVE, "finite, > 0": POSITIVE}
+    assert stated == {words: list(accepted) for words, accepted in ranges.items()}
+    assert set(stated) == set(WORDS)
+    for words, accepted in ranges.items():
+        assert list(map(type, stated[words])) == list(map(type, accepted)), words
+
+
+# one value outside each key's accepted values, in key-table order
+BAD_VALUES = {
+    "omega_m": "0", "Delta": "inf", "J": "-1", "K": "-5e-324", "g": "nan", "theta": "-inf",
+    "kappa": "-1", "Gamma": "inf", "n_th": "-1", "Omega_d": "nan", "G": "-1", "tol": "0",
+    "max_iter": "0", "damping": "1.5", "n_k": "1", "n_t": "1", "kd_over_pi": "6e307",
+    "tq_mode": "linear", "tq_scale": "0", "tq_value": "inf", "theta_list": "0,nan",
+    "rk4_steps": "15", "lattice_N": "129", "lattice_m": "9223372036854775808",
+    "format": "xml", "verify": "maybe",
+}
+REFUSALS = [(key, ["--" + key, BAD_VALUES[key]]) for key, _, _ in KEY_ROWS if key != "out"]
+REFUSALS.append(("kappa", ["--kappa", "0", "--Gamma", "0"]))  # kappa + Gamma must be positive
+
+
+@pytest.mark.parametrize("key, flags", REFUSALS, ids=[" ".join(f) for _, f in REFUSALS])
+def test_every_key_refuses_a_bad_value_in_one_form(key, flags, capsys):
+    assert main(["bands", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"omband: config error: {key}: ")
 
 
 def test_command_list_is_the_commands():
