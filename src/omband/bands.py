@@ -104,24 +104,26 @@ def basis_arrays(g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
     The amplitudes are evaluated from whichever of the two algebraically
     equivalent forms of ``delta +- r`` is addition of same-sign
     quantities, so the weights stay accurate down to ``alpha ~ eps``
-    instead of losing half the digits near the band edges.  ``g = 0`` is
+    instead of losing half the digits near the band edges.  Where
+    ``max(|g|, |delta|) >= 2**511`` both are first scaled by the same exact
+    power of two, so one formula covers every finite pair.  ``g = 0`` is
     the exact decoupled limit; where also ``delta = 0`` (degenerate
     bands) the amplitudes are NaN.
     """
     shape = np.broadcast_shapes(np.shape(g), np.shape(delta))
     g, d = np.broadcast_arrays(np.atleast_1d(g), np.atleast_1d(delta))
+    # scale by 2**-e so that the larger of |g|, |delta| lies below 2**511 and
+    # g * g cannot overflow; e = 0 below that, and the scaling is exact
+    e = np.maximum(np.frexp(np.maximum(np.abs(g), np.abs(d)))[1] - 511, 0)
+    g, d = np.ldexp(g, -e), np.ldexp(d, -e)
     r = np.hypot(g, d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dp = np.where(d >= 0.0, d + r, (g * g) / (r - d))  # = delta + r
         dm = np.where(d <= 0.0, d - r, -(g * g) / (r + d))  # = delta - r
-        big = np.isinf(g * g)  # |g| > ~1.3e154: there g * (g / x) does not overflow
-        if big.any():
-            g_, d_, r_ = g[big], d[big], r[big]
-            dp[big] = np.where(d_ >= 0.0, d_ + r_, g_ * (g_ / (r_ - d_)))
-            dm[big] = np.where(d_ <= 0.0, d_ - r_, -g_ * (g_ / (r_ + d_)))
         n_plus = np.hypot(g, dp)
         n_minus = np.hypot(g, dm)
         amps = [-g / n_plus, dp / n_plus, -g / n_minus, dm / n_minus]
+        r = np.ldexp(r, e)  # inf where sqrt(g^2 + delta^2) is past the float range
     decoupled = g == 0.0
     if decoupled.any():  # the upper band is whichever bare mode lies higher
         up = d[decoupled] > 0.0
@@ -134,7 +136,7 @@ def basis_arrays(g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
 def band_energies(p: LatticeParams, kd: float) -> tuple[float, float]:
     """Return ``(omega_plus, omega_minus)`` at quasimomentum ``kd``."""
     rc = reduced_coeffs(p, kd)
-    mid = 0.5 * (rc.Omega - rc.xi)
+    mid = 0.5 * rc.Omega - 0.5 * rc.xi
     r = float(np.hypot(p.g, rc.delta))
     return mid + r, mid - r
 
@@ -154,7 +156,7 @@ def hybrid_basis(p: LatticeParams, kd: float) -> HybridBasis:
     r, u_A, v_A, u_B, v_B = (float(x) for x in basis_arrays(p.g, rc.delta))
     if r == 0.0:
         raise DegeneratePointError.at(kd)
-    mid = 0.5 * (rc.Omega - rc.xi)
+    mid = 0.5 * rc.Omega - 0.5 * rc.xi
     amps = (u_A, v_A, u_B, v_B)
     return HybridBasis(mid + r, mid - r, *amps, *(a * a for a in amps))
 
@@ -187,7 +189,7 @@ def band_scan(p: LatticeParams, n_k: int = 512, *, kd: np.ndarray | None = None)
         check("n_k", n_k, (2, math.inf))
         kds = np.linspace(-math.pi, math.pi, n_k)
     Omega, xi, delta = coeff_arrays(p, kds)
-    mid = 0.5 * (Omega - xi)
+    mid = 0.5 * Omega - 0.5 * xi
     r, *amps = basis_arrays(p.g, delta)
     wp, wm = mid + r, mid - r
     return np.column_stack([kds, wp, wm, wp - wm, *(a * a for a in amps)])

@@ -31,7 +31,10 @@ line; an unknown command or flag, a flag with no value, a stray
 argument), 3 non-convergence, 4 degenerate point, 5 I/O error.  A zero
 gap under ``tq_mode`` per-k or global-min leaves the ramp time undefined:
 a scan writes those rows as NaN, a trace exits 4.  A nonzero gap whose
-``tq_scale / gap`` overflows exits 2, and so does a ramp time so long
+``tq_scale / gap`` overflows exits 2, and so does one that gives a ramp
+time of 0: a gap that overflows names the first of ``g``, ``J``, ``K``,
+``omega_m``, ``Delta`` whose double overflows, an underflowing
+``tq_scale / gap`` names ``tq_scale``.  So does a ramp time so long
 that the propagator's closed forms overflow (a bad ``tq_value`` in fixed
 mode, a bad ``tq_scale`` otherwise): from about ``t_q = 4e10`` on the
 series branch (``|2 delta t_q| < 0.5``, powers of ``t_q`` up to the 29th)
@@ -662,6 +665,9 @@ def main(argv: list[str] | None = None) -> int:
         key = "tq_value" if cfg.tq_mode == "fixed" else "tq_scale"
         if not math.isfinite(cfg.g * cfg.g):
             key = "g"
+        # a rate whose double overflows makes the gap overflow, and the ramp time 0
+        lattice = ("g", "J", "K", "omega_m", "Delta")
+        key = next((k for k in lattice if math.isinf(2.0 * getattr(cfg, k))), key)
         print(f"omband: config error: {key}: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, CommensurabilityError, SingularBathError, SingularParameterError) as exc:

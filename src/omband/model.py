@@ -137,7 +137,7 @@ def coeff_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:
     kd = np.asarray(kd, dtype=float)
     Omega = p.omega_m - 2.0 * p.K * np.cos(kd)
     xi = p.Delta + 2.0 * p.J * np.cos(kd + p.theta)
-    return Omega, xi, 0.5 * (Omega + xi)
+    return Omega, xi, 0.5 * Omega + 0.5 * xi  # halved first: Omega + xi may overflow
 
 
 def reduced_coeffs(p: LatticeParams, kd: float) -> ReducedCoeffs:

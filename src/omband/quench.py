@@ -176,10 +176,12 @@ def thermal_arrays(alpha_A: np.ndarray, bath: BathParams) -> tuple[np.ndarray, .
             f"total decay rate vanishes (alpha_A={float(alpha_A[singular].flat[0])}, "
             f"kappa={bath.kappa}, Gamma={bath.Gamma})"
         )
-    return (
-        beta_A * bath.Gamma * bath.n_th / den_A,
-        alpha_A * bath.Gamma * bath.n_th / den_B,
-    )
+    modes = ((beta_A, den_A), (alpha_A, den_B))  # phonon weight and decay rate
+    # where Gamma * n_th overflows, take n_th times the heating share of the
+    # decay rate: a ratio of at most 1, so the occupation is at most n_th
+    if math.isinf(bath.Gamma * bath.n_th):
+        return tuple(bath.n_th * (w * bath.Gamma / den) for w, den in modes)
+    return tuple(w * bath.Gamma * bath.n_th / den for w, den in modes)
 
 
 @dataclass(frozen=True)
@@ -481,20 +483,24 @@ def ramp_times(p: LatticeParams, rule: QuenchTimeRule, kd: np.ndarray) -> np.nda
     NaN where the reference gap -- the local gap for "per-k", the
     minimum from :func:`gap_extrema` for "global-min" -- is zero, since
     no finite ramp time exists there.  Raises OverflowError where a
-    nonzero gap gets an infinite ``scale / gap``.
+    nonzero gap gets an infinite ``scale / gap``, or a zero one (the gap
+    itself overflows to inf, or ``scale / gap`` underflows).
     """
     kd = np.asarray(kd, dtype=float)
     if rule.mode == "fixed":
         return np.full(kd.shape, float(rule.t_q))  # type: ignore[arg-type]
-    if rule.mode == "per-k":
-        ref = gap_array(p, kd)
-    else:
-        least = min(e.value for e in gap_extrema(p) if e.kind != "maximum")
-        ref = np.full(kd.shape, least)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        if rule.mode == "per-k":
+            ref = gap_array(p, kd)
+        else:
+            least = min(e.value for e in gap_extrema(p) if e.kind != "maximum")
+            ref = np.full(kd.shape, least)
         t_q = np.where(ref > 0.0, rule.scale / ref, math.nan)
     if np.isinf(t_q).any():
         raise OverflowError(f"scale / gap overflows to inf (scale={rule.scale!r})")
+    if (t_q == 0.0).any():
+        gap = float(np.max(ref))
+        raise OverflowError(f"scale / gap is 0 (scale={rule.scale!r}, gap up to {gap!r})")
     return t_q
 
 

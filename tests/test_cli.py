@@ -436,6 +436,68 @@ def test_overflowing_coupling_exits_2_naming_g(command, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("quench-trace", "--n_t", "5", "--K", "1e308"), "K"),
+        (("quench-trace", "--n_t", "5", "--J", "1.7976931348623157e308"), "J"),
+        (("quench-trace", "--n_t", "5", "--g", "1.7976931348623157e308"), "g"),
+        (("quench-scan", "--n_k", "5", "--J", "1.7976931348623157e308"), "J"),
+        (("quench-scan", "--n_k", "5", "--omega_m", "1e308", "--Delta", "1e308"), "omega_m"),
+        # the gap is finite, but tq_scale / gap underflows to 0
+        (("quench-trace", "--n_t", "5", "--g", "10", "--tq_scale", "5e-324"), "tq_scale"),
+    ],
+)
+def test_zero_ramp_time_exits_2_naming_the_key(argv, key, capsys):
+    # a gap that overflows to inf gives tq_scale / gap = 0, no ramp at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"omband: config error: {key}: ") and err.count("\n") == 1
+
+
+GAMMA_MAX = ("--Gamma", "1.7976931348623157e308")
+
+
+@pytest.mark.parametrize(
+    "argv, n_th_units",
+    [
+        (("thermal", "--n_k", "33", *GAMMA_MAX), False),
+        (("thermal", "--n_k", "33", "--kappa", "1e308", "--Gamma", "1e308"), False),
+        (("quench-scan", "--n_k", "33", *GAMMA_MAX), True),
+        (("quench-trace", "--n_t", "33", *GAMMA_MAX), True),
+    ],
+)
+def test_extreme_rates_give_finite_occupations(argv, n_th_units, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    cols, body = rows_of(out)
+    values = {c: [float(r[i]) for r in body] for i, c in enumerate(cols)}
+    occupations = [v for c in ("N_th_A", "N_th_B", "N_A", "N_B") for v in values.get(c, [])]
+    net = [v for c in ("Nq_A", "Nq_B") for v in values.get(c, [])]
+    assert occupations or net
+    top = 1.0 if n_th_units else 100.0  # quench populations are in units of n_th
+    assert all(0.0 <= v <= top * (1.0 + 1e-15) for v in occupations)
+    assert all(abs(v) <= 1.0 for v in net)
+
+
+def test_tiny_kappa_against_huge_gamma_keeps_its_table(capsys):
+    # the rates' ratio is 1e-600, below the float range: the table must not
+    # turn singular; frozen from the kernels before exact scaling
+    argv = ("thermal", "--g", "0", "--kappa", "1e-300", "--Gamma", "1e300", "--n_k", "4")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert data_lines(out)[1:] == [
+        "-1,1,0,100",
+        "-0.33333333333333337,0,100,0",
+        "0.33333333333333326,0,100,0",
+        "1,1,0,100",
+    ]
+
+
+@pytest.mark.parametrize(
     "argv, code",
     [
         (("quench-scan", "--g", "1e-16", "--n_k", "9"), 2),  # a delta = 0 row at t_q = 5e11
