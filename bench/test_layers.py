@@ -33,8 +33,10 @@ interpreters in ``extra_info["importtime_self_us"]``.  Run from a checkout:
 
     python -m pytest bench --benchmark-json=bench.json
 
-and merge two such files (parent, change) with ``bench/compare.py``.
-Tier-1 does not collect this directory (``testpaths = ["tests"]``).
+``bench/pairs.py PARENT CHANGE --workload layers`` runs it in both
+checkouts, alternating, and compares the medians, ``peak_bytes`` and
+import self times.  Tier-1 does not collect this directory
+(``testpaths = ["tests"]``).
 """
 
 import math

@@ -39,6 +39,7 @@ __all__ = [
     "basis_arrays",
     "hybrid_basis",
     "band_scan",
+    "weight_arrays",
     "ZoneRows",
     "gap_extrema",
     "BAND_SCAN_COLUMNS",
@@ -193,6 +194,16 @@ def band_scan(p: LatticeParams, n_k: int = 512, *, kd: np.ndarray | None = None)
     r, *amps = basis_arrays(p.g, delta)
     wp, wm = mid + r, mid - r
     return np.column_stack([kds, wp, wm, wp - wm, *(a * a for a in amps)])
+
+
+def weight_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(alpha_A, beta_A, alpha_B, beta_B)`` elementwise over ``kd``.
+
+    The same bits as :func:`band_scan`'s weight columns, without its
+    energies and gap, which overflow where the weights do not.
+    """
+    _, *amps = basis_arrays(p.g, coeff_arrays(p, kd)[2])
+    return tuple(a * a for a in amps)
 
 
 class ZoneRows:

@@ -61,6 +61,7 @@ from .bands import (
     ZoneRows,
     band_scan,
     gap_array,
+    weight_arrays,
 )
 from .fmt17 import iter_row_blocks
 from .meanfield import (
@@ -417,16 +418,18 @@ def write_table(table: OutputTable, fmt: str, fh: TextIO) -> int:
 # ---------------------------------------------------------------- commands
 
 
-def _band_table(first: int) -> Callable[[RunConfig], tuple]:
-    """The runner of ``band_scan``'s columns from ``first`` on, after kd in units of pi."""
+def _cmd_bands(cfg: RunConfig) -> tuple:
+    def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
+        return np.column_stack((kd / math.pi, band_scan(cfg.lattice, kd=kd)[:, 1:]))
 
-    def run(cfg: RunConfig) -> tuple:
-        def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
-            return np.column_stack((kd / math.pi, band_scan(cfg.lattice, kd=kd)[:, first:]))
+    return ("kd_over_pi", *BAND_SCAN_COLUMNS[1:]), ZoneRows(cfg.n_k, 1, rows_at)
 
-        return ("kd_over_pi", *BAND_SCAN_COLUMNS[first:]), ZoneRows(cfg.n_k, 1, rows_at)
 
-    return run
+def _cmd_weights(cfg: RunConfig) -> tuple:
+    def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
+        return np.column_stack((kd / math.pi, *weight_arrays(cfg.lattice, kd)))
+
+    return ("kd_over_pi", *BAND_SCAN_COLUMNS[-4:]), ZoneRows(cfg.n_k, 1, rows_at)
 
 
 def _cmd_gap(cfg: RunConfig) -> tuple:
@@ -457,10 +460,9 @@ def _cmd_meanfield(cfg: RunConfig) -> tuple:
 
 def _cmd_thermal(cfg: RunConfig) -> tuple:
     bath = cfg.bath
-    alpha = BAND_SCAN_COLUMNS.index("alpha_A")
 
     def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
-        alpha_A = band_scan(cfg.lattice, kd=kd)[:, alpha]  # NaN if degenerate
+        alpha_A = weight_arrays(cfg.lattice, kd)[0]  # NaN if degenerate
         return np.column_stack((kd / math.pi, alpha_A, *thermal_arrays(alpha_A, bath)))
 
     rows = ZoneRows(cfg.n_k, 1, rows_at)
@@ -557,8 +559,8 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
 
 
 _RUNNERS = {
-    "bands": _band_table(1),
-    "weights": _band_table(BAND_SCAN_COLUMNS.index("alpha_A")),
+    "bands": _cmd_bands,
+    "weights": _cmd_weights,
     "gap": _cmd_gap,
     "meanfield": _cmd_meanfield,
     "thermal": _cmd_thermal,

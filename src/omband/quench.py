@@ -386,8 +386,12 @@ def _populations(M: np.ndarray, N_th_A, N_th_B, n_th: float) -> tuple[np.ndarray
     if n_th == 0.0:  # zero-temperature bath: nothing to propagate
         zero = 0.0 * P[..., 0, 0]  # NaN where M is
         return zero, zero, zero, zero
-    N_A = (P[..., 0, 0] * N_th_A + P[..., 0, 1] * N_th_B) / n_th
-    N_B = (P[..., 1, 0] * N_th_A + P[..., 1, 1] * N_th_B) / n_th
+    with np.errstate(over="ignore"):
+        N_A, N_B = ((P[..., i, 0] * N_th_A + P[..., i, 1] * N_th_B) / n_th for i in (0, 1))
+    if np.isinf(N_A).any() or np.isinf(N_B).any():  # the sum overflows: divide by n_th first
+        a, b = N_th_A / n_th, N_th_B / n_th
+        N_A, N_B = (np.where(np.isinf(N), P[..., i, 0] * a + P[..., i, 1] * b, N)
+                    for i, N in enumerate((N_A, N_B)))
     return N_A, N_B, N_A - N_th_A / n_th, N_B - N_th_B / n_th
 
 

@@ -10,10 +10,12 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import omband
 from omband import DriveParams, LatticeParams, hybrid_basis, solve_meanfield
+from omband.bands import BAND_SCAN_COLUMNS, band_scan
 from omband.cli import _RUNNERS, ConfigError, main, parse_config
 from omband.quench import BathParams, thermal_populations
 
@@ -466,6 +468,8 @@ GAMMA_MAX = ("--Gamma", "1.7976931348623157e308")
         (("thermal", "--n_k", "33", "--kappa", "1e308", "--Gamma", "1e308"), False),
         (("quench-scan", "--n_k", "33", *GAMMA_MAX), True),
         (("quench-trace", "--n_t", "33", *GAMMA_MAX), True),
+        (("quench-trace", "--n_t", "3", "--n_th", "1.7976931348623157e308", "--Gamma", "1e308"),
+         True),
     ],
 )
 def test_extreme_rates_give_finite_occupations(argv, n_th_units, capsys):
@@ -481,6 +485,25 @@ def test_extreme_rates_give_finite_occupations(argv, n_th_units, capsys):
     top = 1.0 if n_th_units else 100.0  # quench populations are in units of n_th
     assert all(0.0 <= v <= top * (1.0 + 1e-15) for v in occupations)
     assert all(abs(v) <= 1.0 for v in net)
+
+
+@pytest.mark.parametrize("g", ["0.3", "1.7976931348623157e308"])
+@pytest.mark.parametrize("command", ["weights", "thermal"])
+def test_weight_tables_keep_band_scans_bits_without_a_warning(command, g, capsys):
+    # band_scan's energy and gap columns overflow at the largest g; the
+    # weights, which are all these tables print, do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, "--n_k", "33", "--g", g)
+    assert code == 0 and err == ""
+    cols, body = rows_of(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan = band_scan(parse_config(flags={"g": g}).lattice, 33)
+    weights = set(cols) & set(BAND_SCAN_COLUMNS)
+    assert weights
+    for c in weights:
+        got = [float(r[cols.index(c)]) for r in body]
+        assert got == scan[:, BAND_SCAN_COLUMNS.index(c)].tolist()
 
 
 def test_tiny_kappa_against_huge_gamma_keeps_its_table(capsys):
