@@ -22,7 +22,7 @@ fresh file, opened and closed as ``main`` does for ``--out``.
 ``parse_config`` is timed on the flags of a benchmark invocation.
 The oracle layers are ``_rk4_ramp`` at verify's own batch (the 256 gapped
 points of its four phases, 1024 steps), ``finite_lattice_spectrum`` at
-N = 8 and 24 cells, and the whole ``verify`` table build.  Whole
+N = 8, 24 and 128 cells, and the whole ``verify`` table build.  Whole
 invocations, end to end, are ``bands`` and ``quench-scan`` at the three
 sizes with ``--out /dev/null``, each run as ``perfbench/run.py`` runs one:
 a fresh interpreter started with ``subprocess.run`` on the same program,
@@ -210,7 +210,7 @@ def test_rk4_verify_batch(bench):
     bench(_rk4_ramp, delta[keep], 1e-4 / gaps[keep], ramp, 1024)
 
 
-@pytest.mark.parametrize("N, m", [(8, 1), (24, 5)])
+@pytest.mark.parametrize("N, m", [(8, 1), (24, 5), (128, 1)])
 def test_lattice_spectrum(bench, N, m):
     p = replace(parse_config().lattice, theta=2.0 * math.pi * m / N)
     bench(finite_lattice_spectrum, p, N, m)

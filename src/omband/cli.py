@@ -249,7 +249,7 @@ _RANGES: dict[str, tuple] = {
     "tq_scale": POSITIVE,
     "tq_value": POSITIVE,
     "rk4_steps": (16, 65536),  # about 4 s of verify's RK4 batch at the top
-    "lattice_N": (2, 128),  # about 5 s of Jacobi sweeps at the top
+    "lattice_N": (2, 128),  # about 10 ms of diagonalization at the top
     "lattice_m": (1 - 2**63, 2**63 - 1),
     "format": ("csv", "json"),
 }

@@ -8,10 +8,9 @@ Two deliberately independent routes are kept here:
   used to validate the Magnus propagator;
 
 * the full ``2N x 2N`` real-space ring Hamiltonian at a commensurate
-  drive phase ``theta = 2 pi m / N``, diagonalized by a hand-rolled
-  cyclic Jacobi sweep that visits its pivots in round-robin order,
-  whose spectrum must reproduce the two Bloch bands sampled on
-  ``kd_j = 2 pi j / N``.
+  drive phase ``theta = 2 pi m / N``, diagonalized whole by LAPACK's
+  Hermitian eigensolver (``numpy.linalg.eigvalsh``), whose spectrum must
+  reproduce the two Bloch bands sampled on ``kd_j = 2 pi j / N``.
 
 Neither route shares code with the closed forms they check, and both
 stay that way on purpose.
@@ -209,107 +208,6 @@ def _lattice_hamiltonian(p: LatticeParams, N: int) -> np.ndarray:
     return H
 
 
-def _round_robin(n: int) -> np.ndarray:
-    """Index orders of the rounds of one cyclic Jacobi sweep of size n.
-
-    Row r orders ``n + n % 2`` indices so that round r pivots on the
-    adjacent pairs ``(order[2p], order[2p + 1])``; for odd n, index n
-    stands in for the missing partner.  This is the circle method of a
-    round-robin tournament: index 0 stays put and the others rotate one
-    place per round, so the pairs of a round are disjoint and the rounds
-    of a sweep meet every pair once.
-    """
-    size = n + n % 2
-    ring = np.arange(size)
-    orders = np.empty((size - 1, size), dtype=int)
-    for order in orders:
-        order[0::2], order[1::2] = ring[: size // 2], ring[: size // 2 - 1 : -1]
-        ring[1:] = np.roll(ring[1:], 1)
-    return orders
-
-
-def _jacobi_eigvalsh(
-    H: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60
-) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi sweeps.
-
-    Each pivot strips the phase off A[i,j], applies the classic
-    symmetric rotation, and forces the annihilated pair to exact zero;
-    a zero or subnormal pivot gets the identity instead.  The pivots are
-    visited in round-robin order (Brent & Luk, SIAM J. Sci. Stat.
-    Comput. 6, 69 (1985)): a round's pairs are disjoint, so their
-    rotations commute and are applied together, with A held in the
-    round's order so each pair is adjacent.  Stops when the off-diagonal
-    Frobenius mass drops below ``tol`` relative to the matrix norm.
-    """
-    H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
-    if H.shape != (n, n):
-        raise ValueError("matrix must be square")
-    peak = float(np.max(np.abs(H)))
-    if np.max(np.abs(H - H.conj().T)) > 1e-12 * max(1.0, peak):
-        raise ValueError("matrix must be Hermitian")
-    # scaled by a power of two (exactly) so that the sweep's squares stay finite
-    scale = math.frexp(peak)[1]
-    H = np.ldexp(H.real, -scale) + 1j * np.ldexp(H.imag, -scale)
-    tiny = np.finfo(float).tiny
-    norm = max(float(np.linalg.norm(H)), tiny)
-
-    # odd n: a zero row and column pad the matrix; it pairs with no one
-    orders = _round_robin(n)
-    size = orders.shape[1]
-    A = np.zeros((size, size), dtype=complex)
-    A[:n, :n] = H
-    A = A[np.ix_(orders[0], orders[0])]
-    swap = np.empty_like(A)
-    # A in round r's order -> A in the next round's (the last wraps to the first)
-    steps = [np.argsort(o)[q] for o, q in zip(orders, np.roll(orders, -1, axis=0))]
-    flat = A.reshape(-1)
-    stride = 2 * size + 2
-    a_ii, a_ij = flat[::stride], flat[1::stride]
-    a_ji, a_jj = flat[size::stride], flat[size + 1 :: stride]
-
-    for _ in range(max_sweeps):
-        off = math.sqrt(
-            max(float(np.sum(np.abs(A) ** 2) - np.sum(np.abs(np.diag(A)) ** 2)), 0.0)
-        )
-        if off <= tol * norm:
-            return np.ldexp(np.sort(np.real(np.diag(A))[orders[0] < n]), scale)
-        for step in steps:
-            ab = np.abs(a_ij)
-            # zero and subnormal pivots (a_ij / ab would overflow): t = 0
-            # and phase = 1 below, and the pivot is zeroed
-            dead = ab < tiny
-            ab[dead] = 1.0
-            phase = a_ij / ab  # e^{i phi}
-            # t = sign(tau) / (|tau| + sqrt(1 + tau^2)) with tau = diff / (2|b|),
-            # multiplied through by 2|b| so that nothing can overflow
-            diff = a_jj.real - a_ii.real
-            two_b = 2.0 * ab
-            t = np.where(diff >= 0.0, two_b, -two_b)
-            t /= np.abs(diff) + np.hypot(diff, two_b)
-            t[dead] = 0.0
-            phase[dead] = 1.0
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            # A <- V^dag A V with V = diag(1, e^{-i phi}) . rotation(c, s)
-            col_i = A[:, 0::2].copy()
-            col_j = A[:, 1::2]
-            cq, sq = c * np.conj(phase), s * np.conj(phase)
-            np.subtract(c * col_i, sq * col_j, out=A[:, 0::2])
-            np.add(s * col_i, cq * col_j, out=col_j)
-            row_i = A[0::2].copy()
-            row_j = A[1::2]
-            cp, sp = (c * phase)[:, None], (s * phase)[:, None]
-            np.subtract(c[:, None] * row_i, sp * row_j, out=A[0::2])
-            np.add(s[:, None] * row_i, cp * row_j, out=row_j)
-            a_ij[:] = a_ji[:] = 0.0
-            a_ii.imag = a_jj.imag = 0.0
-            np.take(A, step, axis=0, out=swap)
-            np.take(swap, step, axis=1, out=A)
-    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
-
-
 def finite_lattice_spectrum(p: LatticeParams, N_sites: int, m: int) -> LatticeSpectrum:
     """Spectrum of the N-cell ring at commensurate phase theta = 2 pi m / N.
 
@@ -323,7 +221,7 @@ def finite_lattice_spectrum(p: LatticeParams, N_sites: int, m: int) -> LatticeSp
         raise CommensurabilityError(
             f"theta={p.theta!r} is not 2*pi*{m}/{N_sites} (mod 2*pi)"
         )
-    evals = _jacobi_eigvalsh(_lattice_hamiltonian(p, N_sites))
+    evals = np.linalg.eigvalsh(_lattice_hamiltonian(p, N_sites))  # ascending
     return LatticeSpectrum(N_sites=N_sites, theta=p.theta, eigenvalues=evals)
 
 

@@ -748,3 +748,62 @@ def test_verify_true_names_every_failed_check_in_one_line(capsys):
         "magnus_vs_rk4", "propagator_unitarity", "lattice_vs_bloch"
     ]
     assert all(why.endswith(")") and " (threshold " in why for why in failed)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--lattice_m", "1", "--omega_m", "0.001", "--K", "0.6"],
+        ["--lattice_m", "0", "--omega_m", "0.001", "--J", "30"],
+    ],
+    ids=["m1-K0.6", "m0-J30"],
+)
+def test_two_cell_ring_verifies_without_a_warning(flags, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--lattice_N", "2", *flags)
+    assert code == 0 and err == ""
+    _, body = rows_of(out)
+    assert len(body) == 5 and all(r[3] == "1" for r in body)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--rk4_steps", "16"],
+        ["--lattice_N", "2", "--lattice_m", "1", "--omega_m", "0.001", "--K", "0.6"],
+    ],
+    ids=["defaults", "two-cell-ring"],
+)
+def test_verify_true_passing_changes_only_the_verify_line(flags, capsys):
+    argv = ("bands", "--n_k", "3", *flags)
+    code, checked, err = run_cli(capsys, *argv, "--verify", "true")
+    assert code == 0 and err == "omband: verify passed\n"
+    code, plain, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    diff = [(a, b) for a, b in zip(checked.splitlines(), plain.splitlines()) if a != b]
+    assert checked.count("\n") == plain.count("\n")
+    assert diff == [("# verify = true", "# verify = false")]
+
+
+def test_degenerate_fixed_ramp_trace_exits_4(capsys):
+    argv = ("quench-trace", "--g", "0", "--J", "0.2", "--K", "0.2",
+            "--tq_mode", "fixed", "--n_t", "5")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == "" and err.count("\n") == 1
+    assert err.startswith("omband: degenerate point: bands are degenerate at kd=")
+
+
+def test_verify_on_flat_uncoupled_bands_fails_only_the_ramp_checks(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "verify", "--g", "0", "--J", "0", "--K", "0", "--rk4_steps", "16"
+        )
+    assert code == 1 and err == ""
+    _, body = rows_of(out)
+    rows = {r[0]: (r[1], r[3]) for r in body}
+    assert rows["magnus_vs_rk4"] == ("nan", "0")
+    assert rows["rk4_order_ratio"] == ("nan", "0")
+    assert {rows[k][1] for k in ("propagator_unitarity", "lattice_vs_bloch",
+                                 "meanfield_residual")} == {"1"}

@@ -1,5 +1,7 @@
-"""The validators validated: RK4 and Jacobi against independent routes."""
+"""The validators validated: RK4 and the finite-ring spectrum against
+independent routes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +18,7 @@ from omband import (
     magnus_propagator,
     reduced_coeffs,
 )
-from omband.oracle import _jacobi_eigvalsh, _lattice_hamiltonian
+from omband.oracle import _lattice_hamiltonian
 
 
 def test_zero_coupling_integrates_to_identity(hopping_dominated):
@@ -155,16 +157,20 @@ def test_lattice_hamiltonian_is_hermitian():
     assert np.max(np.abs(H - H.conj().T)) == 0.0
 
 
-def test_jacobi_against_numpy_on_random_hermitian():
-    rng = np.random.default_rng(7)
-    for n in (3, 8, 12):
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        H = 0.5 * (A + A.conj().T)
-        mine = _jacobi_eigvalsh(H)
-        ref = np.linalg.eigvalsh(H)
-        assert np.max(np.abs(mine - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        _jacobi_eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_small_rings_match_the_bloch_bands_across_a_parameter_grid():
+    # two- to four-cell rings over six decades of every rate
+    worst = 0.0
+    for omega_m, Delta, J, K, g, (N, m) in itertools.product(
+        (0.001, 1.0, 4.3, 1000.0),
+        (-4.3, 0.1, 60.0, -10000.0),
+        (0.5, 30.0, 1000.0),
+        (0.2, 0.6, 16.0),
+        (0.1, -0.001, 1e-6),
+        ((2, 0), (2, 1), (3, 1), (4, 1)),
+    ):
+        p = LatticeParams(
+            omega_m=omega_m, Delta=Delta, J=J, K=K, g=g, theta=2.0 * math.pi * m / N
+        )
+        evals = finite_lattice_spectrum(p, N, m).eigenvalues
+        worst = max(worst, np.max(np.abs(evals - bloch_grid_energies(p, N))))
+    assert worst <= 1e-10

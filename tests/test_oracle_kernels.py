@@ -4,11 +4,10 @@
 ran over ``(batch, 2, 2)`` propagators before it held the batch axis
 last; the kernel must stay bit-for-bit equal to it, because verify's
 ``rk4_order_ratio`` is a ratio of two differences of about 1e-11 and any
-reassociation moves it.  The round-robin Jacobi is checked for its pivot
-schedule and against ``numpy.linalg.eigvalsh`` and the Bloch bands.
+reassociation moves it.  The finite-ring spectrum is checked against the
+Bloch bands at couplings that are exactly zero or subnormal.
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -20,13 +19,7 @@ from omband import LatticeParams
 from omband.bands import gap_array
 from omband.cli import main, parse_config, run_command
 from omband.model import coeff_arrays
-from omband.oracle import (
-    _jacobi_eigvalsh,
-    _lattice_hamiltonian,
-    _rk4_ramp,
-    _round_robin,
-    bloch_grid_energies,
-)
+from omband.oracle import _rk4_ramp, bloch_grid_energies, finite_lattice_spectrum
 
 _BLOCK = 16
 
@@ -87,52 +80,20 @@ def test_rk4_ramp_is_bit_identical_to_the_step_loop(size, n_steps, ramp):
     assert np.array_equal(U, _reference_rk4_ramp(d, T, RAMPS[ramp], n_steps))
 
 
-@pytest.mark.parametrize("n", range(1, 14))
-def test_round_robin_meets_every_pair_once_in_disjoint_rounds(n):
-    met = []
-    for order in _round_robin(n):
-        pairs = [(min(a, b), max(a, b)) for a, b in zip(order[0::2], order[1::2])]
-        pairs = [pair for pair in pairs if pair[1] < n]
-        indices = [i for pair in pairs for i in pair]
-        assert len(indices) == len(set(indices))
-        met.extend(pairs)
-    assert sorted(met) == list(itertools.combinations(range(n), 2))
-
-
-@pytest.mark.parametrize("n", [16, 47, 48])
-def test_jacobi_matches_numpy_on_random_hermitian(n):
-    rng = np.random.default_rng(n)
-    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    H = X + X.conj().T
-    ref = np.linalg.eigvalsh(H)
-    assert np.max(np.abs(_jacobi_eigvalsh(H) - ref)) <= 1e-10 * np.max(np.abs(ref))
-
-
-def test_jacobi_scales_a_huge_matrix_exactly():
-    # sums of |A_ij|^2 overflow near 1e300; a power-of-two scale is exact
-    rng = np.random.default_rng(990)
-    X = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    H = X + X.conj().T
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        huge = _jacobi_eigvalsh(H * 2.0**990)
-    assert np.array_equal(huge, _jacobi_eigvalsh(H) * 2.0**990)
-
-
 def test_jacobi_skips_the_exact_zero_pivots_of_an_uncoupled_ring():
     p = replace(P, g=0.0, theta=2.0 * math.pi * 5 / 24)
-    evals = _jacobi_eigvalsh(_lattice_hamiltonian(p, 24))
+    evals = finite_lattice_spectrum(p, 24, 5).eigenvalues
     assert not np.isnan(evals).any()
     assert np.max(np.abs(evals - bloch_grid_energies(p, 24))) <= 1e-12
 
 
 @pytest.mark.parametrize("key", ["g", "J"])
 def test_jacobi_zeroes_subnormal_pivots(key):
-    # a subnormal pivot a_ij overflows a_ij / |a_ij|; it is dead, like a zero one
+    # a subnormal entry overflows a solver that divides it by its modulus
     p = replace(P, theta=2.0 * math.pi / 8, **{key: 1e-320})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        evals = _jacobi_eigvalsh(_lattice_hamiltonian(p, 8))
+        evals = finite_lattice_spectrum(p, 8, 1).eigenvalues
     assert np.max(np.abs(evals - bloch_grid_energies(p, 8))) <= 1e-12
 
 

@@ -247,14 +247,16 @@ def value_draws(key):
 
 
 # each key goes to a command that reads it; a size larger than 16 goes only
-# to meanfield, which reads none, so no draw makes a long or large run
+# to meanfield, which reads none, so no draw makes a long or large run.
+# lattice_N is not such a size: verify diagonalizes its top, 128 cells, in
+# a fraction of a second
 READER = {
     "tol": "meanfield", "max_iter": "meanfield", "damping": "meanfield",
     "n_k": "bands", "n_t": "quench-trace", "kd_over_pi": "quench-trace",
     "tq_mode": "quench-scan", "tq_scale": "quench-trace", "tq_value": "quench-trace",
     "rk4_steps": "verify", "lattice_N": "verify", "lattice_m": "verify", "format": "bands",
 }
-SIZES = ("n_k", "n_t", "rk4_steps", "lattice_N")
+SIZES = ("n_k", "n_t", "rk4_steps")
 
 
 @settings(
