@@ -20,11 +20,13 @@ accumulated phase ``2 delta t_q`` is small, so a Taylor branch in
 agree to ~1e-12 there).
 
 Mapping back out of the interaction picture and into the instantaneous
-hybrid basis, ``M = R(g(t)) S(t) R(g0)^T`` propagates mode amplitudes,
-and ``|M_ij|^2`` propagates thermally occupied, mutually incoherent
-initial populations.  Populations are tracked in units of the bath
-occupation ``n_th``; ``net_excitations`` subtracts the (initial-basis)
-thermal reference so that an adiabatic sweep yields zero.
+hybrid basis, ``M = R(g(t)) S(t) R(g0)^T`` propagates mode amplitudes.
+Thermally occupied, mutually incoherent initial populations read only
+the transfer probability ``P = |M_AB|^2``, which is exact for a unitary
+2x2: ``|M|^2`` is then doubly stochastic, so in units of the bath
+occupation ``n_th``, with the thermal shares ``s = N_th / n_th``, the net
+excitations are ``Nq_A = P (s_B - s_A)`` and ``Nq_B = -Nq_A``, and an
+adiabatic sweep yields zero.
 
 Every formula is evaluated elementwise over arrays of ``kd`` (a scan) or
 ``t`` (a trace); the scalar functions are thin wrappers over the same
@@ -342,26 +344,29 @@ def magnus_propagator(
     return propagator_array(g0, delta_half, t_q, t)
 
 
-def _rotation(g: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Hybrid-basis rotations, rows (u_A, v_A), (u_B, v_B); NaN if degenerate."""
-    _, u_A, v_A, u_B, v_B = basis_arrays(g, delta)
-    return np.stack([u_A, v_A, u_B, v_B], axis=-1).reshape(*u_A.shape, 2, 2)
-
-
 def _ramp_map(delta: np.ndarray, g0: float, t_q: np.ndarray, t: np.ndarray) -> tuple:
     """``M = R(g(t)) S(t) R(g0)^T`` and alpha_A at ``g0``; NaN where degenerate.
 
-    Raises OverflowError where a ramp time so long that the Magnus closed
-    forms overflow (powers of ``t`` past the float range) gives a
-    non-finite ``S``; finite inputs give a finite ``S`` otherwise.
+    R has rows (u_A, v_A) and sign(g) (-v_A, u_A), sign +1 at g = 0: exactly
+    orthogonal, so M_AB is exactly 0 where S = I.  Raises OverflowError
+    where a ramp time so long that the Magnus closed forms overflow gives a
+    non-finite ``S``.
     """
-    R0 = _rotation(g0, delta)
-    Rt = _rotation(g0 * (1.0 - 2.0 * (np.asarray(t) / t_q)), delta)  # 2t overflows at t_q ~ 1e308
     S = propagator_array(g0, delta, t_q, t)
     if not np.isfinite(S).all():
-        t_max = float(np.max(t_q))
-        raise OverflowError(f"the ramp's closed forms overflow (t_q up to {t_max!r})")
-    return Rt @ S @ np.swapaxes(R0, -1, -2), R0[..., 0, 0] ** 2
+        raise OverflowError(f"the ramp's closed forms overflow (t_q up to {float(np.max(t_q))!r})")
+    rows = []  # R(g0), then R(g(t))
+    for g in (g0, g0 * (1.0 - 2.0 * (np.asarray(t) / t_q))):  # 2t overflows at t_q ~ 1e308
+        _, u, v, _, _ = basis_arrays(g, delta)
+        sign = np.where(g < 0.0, -1.0, 1.0)
+        rows.append(((u, v), (-sign * v, sign * u)))
+    R0, Rt = rows
+    # SR[k][j] = (S R0^T)_kj, then M_ij = sum_k Rt_ik SR_kj
+    SR = [[S[..., k, 0] * R0[j][0] + S[..., k, 1] * R0[j][1] for j in (0, 1)] for k in (0, 1)]
+    M = np.empty(S.shape, dtype=complex)
+    for i, j in np.ndindex(2, 2):
+        M[..., i, j] = Rt[i][0] * SR[0][j] + Rt[i][1] * SR[1][j]
+    return M, R0[0][0] ** 2
 
 
 def quench_map(p: LatticeParams, kd: float, s: QuenchSchedule, t: float) -> np.ndarray:
@@ -381,27 +386,22 @@ def quench_map(p: LatticeParams, kd: float, s: QuenchSchedule, t: float) -> np.n
 
 
 def _populations(M: np.ndarray, N_th_A, N_th_B, n_th: float) -> tuple[np.ndarray, ...]:
-    """``(N_A, N_B, Nq_A, Nq_B)`` in units of n_th, elementwise over ``M``."""
-    P = np.abs(M) ** 2
+    """``(N_A, N_B, Nq_A, Nq_B)`` in units of n_th from ``P = |M_AB|^2``, elementwise."""
+    P = np.abs(M[..., 0, 1]) ** 2
     if n_th == 0.0:  # zero-temperature bath: nothing to propagate
-        zero = 0.0 * P[..., 0, 0]  # NaN where M is
+        zero = 0.0 * P  # NaN where M is
         return zero, zero, zero, zero
-    with np.errstate(over="ignore"):
-        N_A, N_B = ((P[..., i, 0] * N_th_A + P[..., i, 1] * N_th_B) / n_th for i in (0, 1))
-    if np.isinf(N_A).any() or np.isinf(N_B).any():  # the sum overflows: divide by n_th first
-        a, b = N_th_A / n_th, N_th_B / n_th
-        N_A, N_B = (np.where(np.isinf(N), P[..., i, 0] * a + P[..., i, 1] * b, N)
-                    for i, N in enumerate((N_A, N_B)))
-    return N_A, N_B, N_A - N_th_A / n_th, N_B - N_th_B / n_th
+    s_A, s_B = N_th_A / n_th, N_th_B / n_th
+    Nq_A = P * (s_B - s_A) + 0.0  # -0.0 -> 0.0
+    return s_A + Nq_A, s_B - Nq_A, Nq_A, 0.0 - Nq_A
 
 
-def mode_populations(
-    M: np.ndarray, th: ThermalPopulations, n_th: float
-) -> tuple[float, float]:
+def mode_populations(M: np.ndarray, th: ThermalPopulations, n_th: float) -> tuple[float, float]:
     """Propagate incoherent thermal occupations through ``M``, in units of n_th.
 
     Assumes the initial state is diagonal in the hybrid basis with
-    occupations ``th``; returns (0, 0) for a zero-temperature bath.
+    occupations ``th``; returns (0, 0) for a zero-temperature bath.  Reads
+    only |M_AB|^2, which fixes every |M_ij|^2 exactly for a unitary 2x2.
     """
     N_A, N_B, _, _ = _populations(np.asarray(M), th.N_th_A, th.N_th_B, n_th)
     return float(N_A), float(N_B)

@@ -37,6 +37,8 @@ from omband import (
     quench_trace,
     thermal_populations,
 )
+from omband.bands import basis_arrays
+from omband.model import coeff_arrays
 from omband.quench import (
     QUENCH_COLUMNS,
     _phi_closed,
@@ -47,6 +49,7 @@ from omband.quench import (
     quench_scan_array,
     quench_trace_array,
     ramp_times,
+    thermal_arrays,
 )
 
 # one sudden-ramp instance, frozen when the closed forms were first
@@ -440,3 +443,43 @@ def test_overflowing_fixed_ramp_time_raises(g):
         quench_scan_array(p, QuenchTimeRule(mode="fixed", t_q=1e300), n_k=33)
     with pytest.raises(OverflowError, match="closed forms overflow"):
         quench_trace_array(p, 0.48 * math.pi, QuenchSchedule(g0=p.g, t_q=1e300), n_t=33)
+
+
+@pytest.mark.parametrize("g", [1e-5, 1e-3])
+def test_scan_excitations_match_extended_precision_transfer(g):
+    # Nq_A = P (s_B - s_A) with P = |M_AB|^2, evaluated in np.longdouble from
+    # the same float propagators, basis amplitudes and occupations as the scan
+    p = LatticeParams(g=g)
+    scan = quench_scan_array(p, QuenchTimeRule(), n_k=4096)
+    kd, t_q = scan[:, 0], scan[:, 1]
+    delta = coeff_arrays(p, kd)[2]
+    S = propagator_array(g, delta, t_q, t_q).astype(np.clongdouble)
+    _, u0_A, v0_A, u0_B, v0_B = basis_arrays(g, delta)
+    _, ut_A, vt_A, _, _ = basis_arrays(-g, delta)  # g(t_q) = -g0
+    row_A = [x.astype(np.longdouble) for x in (ut_A, vt_A)]
+    col_B = [x.astype(np.longdouble) for x in (u0_B, v0_B)]
+    M_AB = sum(row_A[k] * S[:, k, l] * col_B[l] for k in (0, 1) for l in (0, 1))
+    P = M_AB.real**2 + M_AB.imag**2
+    n_th = np.longdouble(DEFAULT_BATH.n_th)
+    N_th_A, N_th_B = (x.astype(np.longdouble) for x in thermal_arrays(u0_A**2, DEFAULT_BATH))
+    expect = P * (N_th_B / n_th - N_th_A / n_th)
+    assert np.all(expect != 0.0)
+    assert float(np.max(np.abs(scan[:, 4] - expect) / np.abs(expect))) <= 2e-15
+
+
+@pytest.mark.parametrize("rule", TIME_RULES, ids=lambda r: r.mode)
+@pytest.mark.parametrize("params", ["hopping_dominated", "coupling_dominated"])
+def test_net_excitations_are_exact_opposites(params, rule, request):
+    p = request.getfixturevalue(params)
+    kd = 0.48 * math.pi
+    s = QuenchSchedule(g0=p.g, t_q=float(ramp_times(p, rule, kd)))
+    for table in (quench_scan_array(p, rule, n_k=257), quench_trace_array(p, kd, s, n_t=257)):
+        assert np.all(table[:, 5] == -table[:, 4])
+
+
+@pytest.mark.parametrize("params", ["hopping_dominated", "coupling_dominated"])
+def test_quench_map_transfers_nothing_at_start(params, request):
+    p = request.getfixturevalue(params)
+    s = QuenchSchedule(g0=p.g, t_q=0.01)
+    for kd in np.linspace(-math.pi, math.pi, 33):
+        assert quench_map(p, kd, s, 0.0)[0, 1] == 0.0

@@ -14,7 +14,7 @@ import shlex
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from omband.cli import (
@@ -207,6 +207,8 @@ TOKENS = st.one_of(
     command=st.sampled_from([*_RUNNERS, "bogus"]),
     tokens=st.lists(TOKENS, max_size=3).map(lambda ts: [t for tt in ts for t in tt]),
 )
+@example(command="bands", tokens=["--verify", "true", "--J", "1e300"])
+@example(command="verify", tokens=["--J", "1e300"])
 def test_any_command_line_ends_in_a_documented_exit(command, tokens, tmp_path, monkeypatch):
     # --rk4_steps 16 first, and every other int at most 2, so no run is long;
     # --out and --config name files in the test's own directory
@@ -222,8 +224,15 @@ def test_any_command_line_ends_in_a_documented_exit(command, tokens, tmp_path, m
     assert code in {int(c) for c, _ in EXIT_ROWS}
     lines = err.getvalue().splitlines()
     assert all(line.startswith("omband: ") for line in lines)
-    if code == 1:  # verify's own table, or one line per check that --verify true failed
-        assert command == "verify" or out.getvalue() == ""
+    if code == 1:  # verify's own table, or one line naming every check --verify true failed
+        if command == "verify":  # its table went to stdout or to the --out file
+            written = out.getvalue() or "".join(
+                f.read_text(encoding="utf-8") for f in tmp_path.iterdir() if f.is_file()
+            )
+            assert lines == [] and "magnus_vs_rk4" in written
+        else:
+            assert out.getvalue() == "" and len(lines) == 1
+            assert lines[0].startswith("omband: verify failed: ")
     elif code:
         assert out.getvalue() == "" and len(lines) == 1
 
