@@ -34,11 +34,10 @@ a scan writes those rows as NaN, a trace exits 4.  A nonzero gap whose
 ``tq_scale / gap`` overflows exits 2, and so does one that gives a ramp
 time of 0: a gap that overflows names the first of ``g``, ``J``, ``K``,
 ``omega_m``, ``Delta`` whose double overflows, an underflowing
-``tq_scale / gap`` names ``tq_scale``.  So does a ramp time so long
-that the propagator's closed forms overflow (a bad ``tq_value`` in fixed
-mode, a bad ``tq_scale`` otherwise): from about ``t_q = 4e10`` on the
-series branch (``|2 delta t_q| < 0.5``, powers of ``t_q`` up to the 29th)
-and about ``t_q = 4e102`` on the closed-form branch.
+``tq_scale / gap`` names ``tq_scale``.  So does a ramp whose
+``|g * t_q|`` passes about 1.3e154 (a bad ``tq_value`` in fixed mode, a
+bad ``tq_scale`` otherwise, or ``g`` where ``g * g`` overflows), the one
+scale that the Magnus integrals square.
 """
 
 from __future__ import annotations

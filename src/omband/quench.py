@@ -13,11 +13,14 @@ with ``eta = sqrt(|theta|^2 + phi^2)`` and
     theta(t) = -Int_0^t g(t') e^{2 i delta t'} dt'
     phi(t)   = Int_0^t dt1 Int_0^{t1} dt2 g(t1) g(t2) sin(2 delta (t1 - t2)).
 
-Both integrals are elementary; the closed forms below carry inverse
-powers of ``delta`` up to ``delta^-3`` and lose precision when the
-accumulated phase ``2 delta t_q`` is small, so a Taylor branch in
-``2 delta t`` takes over below ``|2 delta t_q| = 0.5`` (both branches
-agree to ~1e-12 there).
+Both read the ramp only through ``a = g0 t_q``, ``x = delta t_q`` and
+``tau = t / t_q``: ``theta = -a Int_0^tau (1 - 2u) e^{2 i x u} du`` and
+``phi = a^2 h(x, tau)``.  Both are elementary; the closed forms carry
+inverse powers of ``x`` up to ``x^-3`` and lose precision when the
+accumulated phase ``2 x`` is small, so a Taylor branch in ``2 x tau``
+takes over below ``|2 x| = 0.5`` (both branches agree to ~1e-12 there).
+No power of ``t_q`` is formed, so what can overflow is ``a * a``, past
+``|a|`` of about 1.34e154, and the phase ``2 x`` itself.
 
 Mapping back out of the interaction picture and into the instantaneous
 hybrid basis, ``M = R(g(t)) S(t) R(g0)^T`` propagates mode amplitudes.
@@ -193,8 +196,9 @@ class MagnusTerms:
     ``theta_M`` is the first-order (off-diagonal) term, ``phi_M`` the
     second-order commutator (diagonal) term, ``eta`` the rotation angle
     ``sqrt(|theta_M|^2 + phi_M^2)``.  ``zeta_M`` is the polynomial
-    grouping ``t^2/2 - 2 t^3 / (3 t_q)`` that enters ``phi_M`` on the
-    closed-form branch.
+    grouping ``t^2/2 - 2 t^3 / (3 t_q)``, that is ``t_q^2`` times the
+    ``tau^2/2 - 2 tau^3 / 3`` that enters ``phi_M`` on the closed-form
+    branch.
     """
 
     theta_M: complex
@@ -210,68 +214,54 @@ def _check_ramp_args(g0: float, delta_half: float, t_q: float, t: float) -> None
     check("delta_half", delta_half, FINITE)
 
 
-def _ramp_moment(n: int, t_q: float, t: float) -> float:
-    """Int_0^t (1 - 2u/t_q) u^n du."""
-    return t ** (n + 1) / (n + 1) - 2.0 * t ** (n + 2) / ((n + 2) * t_q)
+# Series coefficients in ramp units, each correctly rounded.  With z = 2 i x tau,
+# theta_M = -a tau sum_n z^n (1/(n+1)! - 2 tau / (n! (n+2))); with y = 2 x tau
+# and w = -y^2, phi_M = a^2 y tau^2 sum_m w^m (1 - 2 tau + 4 tau^2 / (2m+5)) / (2m+3)!.
+# Both lists run from the highest power down, for Horner's rule.
+_THETA_COEFFS = [
+    (1 / math.factorial(n + 1), 1 / (math.factorial(n) * (n + 2))) for n in range(_SERIES_TERMS)
+][::-1]
+_PHI_COEFFS = [  # j = 2m + 1, the odd powers of sin's series
+    (1 / math.factorial(j + 2), -2 / math.factorial(j + 2), 4 / (math.factorial(j + 2) * (j + 4)))
+    for j in range(1, _SERIES_TERMS, 2)
+][::-1]
 
 
-# The four branch formulas below take floats or equal-shape arrays alike.
+# The four branch formulas below take floats or equal-shape arrays alike.  Each
+# reads the ramp only through a = g0 t_q, x = d t_q and tau = t / t_q.
 def _theta_closed(g0: float, d: float, t_q: float, t: float) -> complex:
-    e = np.exp(2j * d * t)
-    return (g0 / (2.0 * d)) * (
-        1j * (e - 1.0) - 2j * t * e / t_q + (e - 1.0) / (d * t_q)
-    )
+    a, x, tau = g0 * t_q, d * t_q, t / t_q
+    e = np.exp(2j * x * tau)
+    return (a / (2.0 * x)) * (1j * (e - 1.0) - 2j * tau * e + (e - 1.0) / x)
 
 
 def _theta_series(g0: float, d: float, t_q: float, t: float) -> complex:
-    acc = 0.0 + 0.0j
-    coeff = 1.0 + 0.0j  # (2 i d)^n / n!
-    for n in range(_SERIES_TERMS):
-        acc += coeff * _ramp_moment(n, t_q, t)
-        coeff *= 2j * d / (n + 1)
-    return -g0 * acc
-
-
-def _phi_groupings(d: float, t_q: float, t: float) -> tuple[float, float, float]:
-    zeta = 0.5 * t * t - 2.0 * t**3 / (3.0 * t_q)
-    s = np.sin(2.0 * d * t)
-    c = np.cos(2.0 * d * t)
-    # magnus_terms reads only zeta, also at d = 0, where xi and chi divide by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = 1.0 - c + (2.0 * t / t_q) * c - s / (t_q * d)
-        chi = (
-            t
-            - t * t / t_q
-            - s / (2.0 * d)
-            + t * s / (t_q * d)
-            + (c - 1.0) / (2.0 * t_q * d * d)
-        )
-    return xi, zeta, chi
+    a, x, tau = g0 * t_q, d * t_q, t / t_q
+    z = 2j * x * tau
+    acc = 0.0
+    for c1, c2 in _THETA_COEFFS:  # the n = 0 term, 1 - 2 tau / 2, is exactly 0 at tau = 1
+        acc = acc * z + (c1 - 2.0 * tau * c2)
+    return -a * tau * acc
 
 
 def _phi_closed(g0: float, d: float, t_q: float, t: float) -> float:
-    xi, zeta, chi = _phi_groupings(d, t_q, t)
-    g2 = g0 * g0
-    return (
-        g2 / (4.0 * t_q * d**3) * xi
-        - g2 / (t_q * d) * zeta
-        + g2 / (2.0 * d) * chi
-    )
+    a, x, tau = g0 * t_q, d * t_q, t / t_q
+    s = np.sin(2.0 * x * tau)
+    c = np.cos(2.0 * x * tau)
+    xi = 1.0 - c + 2.0 * tau * c - s / x
+    zeta = 0.5 * tau * tau - 2.0 * tau**3 / 3.0
+    chi = tau - tau * tau - s / (2.0 * x) + tau * s / x + (c - 1.0) / (2.0 * x * x)
+    return (a * a) * (xi / (4.0 * x**3) - zeta / x + chi / (2.0 * x))
 
 
 def _phi_series(g0: float, d: float, t_q: float, t: float) -> float:
+    a, x, tau = g0 * t_q, d * t_q, t / t_q
+    y = 2.0 * x * tau
+    w = -(y * y)
     acc = 0.0
-    sign = 1.0
-    coeff = 2.0 * d  # (2 d)^j / j! for odd j
-    for j in range(1, _SERIES_TERMS, 2):
-        w = (
-            _ramp_moment(j + 1, t_q, t) / (j + 1)
-            - 2.0 * _ramp_moment(j + 2, t_q, t) / ((j + 1) * (j + 2) * t_q)
-        )
-        acc += sign * coeff * w
-        sign = -sign
-        coeff *= (2.0 * d) ** 2 / ((j + 1) * (j + 2))
-    return g0 * g0 * acc
+    for p0, p1, p2 in _PHI_COEFFS:
+        acc = acc * w + (p0 + tau * (p1 + tau * p2))
+    return (a * a) * (y * tau * tau) * acc
 
 
 def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
@@ -299,8 +289,9 @@ def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
 def propagator_array(g0, delta_half, t_q, t) -> np.ndarray:
     """Interaction-picture propagators ``S(t)``, shape ``(..., 2, 2)``.
 
-    Where a ramp time or coupling is so large that the Magnus integrals
-    overflow, those entries are non-finite, without a RuntimeWarning.
+    Where ``phi_M``'s factor ``(g0 t_q)^2`` overflows (``|g0 t_q|`` past
+    about 1.34e154), or the phase ``2 delta t_q`` does, those entries are
+    non-finite, without a RuntimeWarning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         theta, phi = _magnus_arrays(g0, delta_half, t_q, t)
@@ -331,7 +322,7 @@ def magnus_terms(g0: float, delta_half: float, t_q: float, t: float) -> MagnusTe
     """Evaluate theta, phi, eta and the polynomial phi grouping in one call."""
     _check_ramp_args(g0, delta_half, t_q, t)
     theta, phi = (x.item() for x in _magnus_arrays(g0, delta_half, t_q, t))
-    zeta = float(_phi_groupings(delta_half, t_q, t)[1])
+    zeta = float(0.5 * t * t - 2.0 * t**3 / (3.0 * t_q))
     eta = math.hypot(abs(theta), phi)
     return MagnusTerms(theta_M=theta, phi_M=phi, eta=eta, zeta_M=zeta)
 
@@ -349,8 +340,8 @@ def _ramp_map(delta: np.ndarray, g0: float, t_q: np.ndarray, t: np.ndarray) -> t
 
     R has rows (u_A, v_A) and sign(g) (-v_A, u_A), sign +1 at g = 0: exactly
     orthogonal, so M_AB is exactly 0 where S = I.  Raises OverflowError
-    where a ramp time so long that the Magnus closed forms overflow gives a
-    non-finite ``S``.
+    where ``S`` is non-finite: past ``|g0 t_q|`` of about 1.34e154, or
+    where the phase ``2 delta t_q`` overflows.
     """
     S = propagator_array(g0, delta, t_q, t)
     if not np.isfinite(S).all():
@@ -441,8 +432,8 @@ def quench_trace_array(
     The initial state is thermal and diagonal in the hybrid basis of the
     pre-ramp coupling ``s.g0``; that same reference is subtracted at all
     later times.  Raises :class:`DegeneratePointError` if the hybrid
-    basis is degenerate at any sample, and OverflowError if ``s.t_q`` is
-    so long that the closed forms overflow.
+    basis is degenerate at any sample, and OverflowError if
+    ``|s.g0 * s.t_q|`` passes about 1.34e154.
     """
     check("n_t", n_t, (2, math.inf))
     t = np.linspace(0.0, s.t_q, n_t)
@@ -524,9 +515,10 @@ def quench_scan_array(
     grid, with ``t`` the ramp time from :func:`ramp_times`.  A row with
     no finite ramp time (zero gap) or a degenerate hybrid basis --
     possible only when ``p.g = 0`` -- is NaN-filled rather than
-    aborting the scan.  A finite ramp time so long that the closed forms
-    overflow raises OverflowError, as :func:`ramp_times` does for an
-    infinite one.
+    aborting the scan.  A ramp whose ``|p.g * t_q|`` passes about 1.34e154
+    raises OverflowError, as :func:`ramp_times` does for an infinite
+    ``t_q``; under the per-k and global-min rules ``|p.g * t_q|`` is at
+    most ``rule.scale / 2``.
     """
     check("n_k", n_k, (2, math.inf))
     if theta is not None:

@@ -429,10 +429,11 @@ def test_overflowing_fixed_ramp_time_exits_2(command, capsys):
 
 @pytest.mark.parametrize("command", ["quench-scan", "quench-trace"])
 def test_overflowing_coupling_exits_2_naming_g(command, capsys):
-    # g * g overflows: the closed forms fail because of g, not tq_scale
+    # at t_q = 1, a = g t_q = 1e300 and g * g overflows: the fault is g, not tq_value
+    argv = (command, "--g", "1e300", "--tq_mode", "fixed", "--n_k", "33")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, command, "--g", "1e300", "--n_k", "33")
+        code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("omband: config error: g: ") and err.count("\n") == 1
 
@@ -521,21 +522,29 @@ def test_tiny_kappa_against_huge_gamma_keeps_its_table(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv",
     [
-        (("quench-scan", "--g", "1e-16", "--n_k", "9"), 2),  # a delta = 0 row at t_q = 5e11
-        (("quench-scan", "--g", "1e-16", "--n_k", "8"), 0),  # no such row on the grid
-        (("quench-trace", "--g", "1e-20", "--kd_over_pi", "0.5"), 2),  # t_q = 5e15
+        ("quench-scan", "--g", "1e-16", "--n_k", "9"),  # a delta = 0 row at t_q = 5e11
+        ("quench-scan", "--g", "1e-16", "--n_k", "8"),
+        ("quench-trace", "--g", "1e-20", "--kd_over_pi", "0.5"),  # t_q = 5e15
+        ("quench-scan", "--g", "1e300", "--n_k", "33"),  # t_q = 5e-305
+        ("quench-trace", "--g", "1e300"),
+        ("quench-scan", "--g", "1e-300", "--n_k", "9"),  # t_q up to 5e295
+        ("quench-scan", "--g", "1e-300", "--n_k", "9", "--tq_mode", "global-min"),
+        ("quench-trace", "--g", "1e-200", "--tq_mode", "global-min"),
+        ("quench-trace", "--J", "1e300"),  # delta = 6e298, t_q = 8e-304
     ],
 )
-def test_series_branch_ramp_overflows_exit_2(argv, code, capsys):
-    # the series branch raises t_q up to the 29th power, so it overflows from
-    # about t_q = 4e10, where the closed form lasts to about 4e102 (README)
-    got, out, err = run_cli(capsys, *argv)
-    assert got == code
-    if code:
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("omband: config error: ")
+def test_ramp_at_extreme_scales_exits_0(argv, capsys):
+    # the Magnus integrals read only a = g t_q, delta t_q and t / t_q, which
+    # stay small here however far t_q, g or delta sit from 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    cols, body = rows_of(out)
+    assert body and all(math.isfinite(float(v)) for r in body for v in r)
+    assert all(abs(float(r[cols.index(c)])) <= 1.0 for c in ("Nq_A", "Nq_B") for r in body)
 
 
 def test_zero_coupling_global_min_scan_writes_nan_rows(capsys):
@@ -633,7 +642,7 @@ def test_verify_at_extreme_scales_writes_no_warning(key, capsys):
         code, out, err = run_cli(capsys, "verify", "--rk4_steps", "16", f"--{key}", "1e300")
     assert code == 1 and err == ""
     _, body = rows_of(out)
-    assert body[0][:2] == ["magnus_vs_rk4", "nan"] and body[0][3] == "0"
+    assert [r[0] for r in body if r[3] == "0"] == ["lattice_vs_bloch"]
 
 
 @pytest.mark.parametrize(
@@ -739,13 +748,14 @@ def test_huge_integer_exits_2_naming_the_key(argv, key, capsys):
 
 def test_verify_true_names_every_failed_check_in_one_line(capsys):
     code, out, err = run_cli(
-        capsys, "bands", "--n_k", "2", "--verify", "true", "--rk4_steps", "16", "--J", "1e300"
+        capsys, "bands", "--n_k", "2", "--verify", "true", "--rk4_steps", "16",
+        "--g", "1e300", "--max_iter", "1",
     )
     assert code == 1 and out == "" and err.count("\n") == 1
     assert err.startswith("omband: verify failed: ")
     failed = err[len("omband: verify failed: "):].rstrip("\n").split("; ")
     assert [why.split(" = ")[0] for why in failed] == [
-        "magnus_vs_rk4", "propagator_unitarity", "lattice_vs_bloch"
+        "rk4_order_ratio", "lattice_vs_bloch", "meanfield_residual"
     ]
     assert all(why.endswith(")") and " (threshold " in why for why in failed)
 

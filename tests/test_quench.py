@@ -7,6 +7,7 @@ invariants (unitarity, conservation, n_th scaling).
 
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from omband import (
 from omband.bands import basis_arrays
 from omband.model import coeff_arrays
 from omband.quench import (
+    _SERIES_TERMS,
     QUENCH_COLUMNS,
     _phi_closed,
     _phi_series,
@@ -181,6 +183,54 @@ def test_magnus_terms_bundle():
     assert mt.phi_M == magnus_phi(0.1, 0.7, 3.0, 2.0)
     assert mt.eta == pytest.approx(math.hypot(abs(mt.theta_M), mt.phi_M), rel=1e-15)
     assert mt.zeta_M == pytest.approx(2.0 - 16.0 / 9.0, rel=1e-14)
+
+
+def exact_end_theta(g0, d, t_q):
+    """theta_M at t = t_q from the same truncated series, in exact rationals.
+
+    At tau = 1 the n-th coefficient 1/(n+1)! - 2/(n! (n+2)) is -n/(n+2)!.
+    """
+    a, y = Fraction(g0) * Fraction(t_q), 2 * Fraction(d) * Fraction(t_q)
+    parts = [Fraction(0), Fraction(0)]  # real (even n) and imaginary (odd n) parts
+    for n in range(_SERIES_TERMS):  # i^n = (-1)^(n // 2) i^(n % 2)
+        parts[n % 2] += Fraction(n * (-1) ** (n // 2), math.factorial(n + 2)) * y**n
+    return a * parts[0], a * parts[1]
+
+
+@pytest.mark.parametrize("params", ["hopping_dominated", "coupling_dominated"])
+def test_end_of_ramp_theta_matches_exact_series(params, request):
+    # the per-k rule puts every row on the series branch; at tau = 1 its
+    # constant term vanishes exactly, so the float sum keeps full precision
+    p = request.getfixturevalue(params)
+    kd = np.linspace(-math.pi, math.pi, 257)
+    t_q = ramp_times(p, QuenchTimeRule(), kd)
+    d = coeff_arrays(p, kd)[2]
+    assert np.all(np.abs(2.0 * d * t_q) < MAGNUS_SERIES_CROSSOVER)
+    worst = 0.0
+    for d_k, t_k in zip(d.tolist(), t_q.tolist()):
+        th = magnus_theta(p.g, d_k, t_k, t_k)
+        re, im = exact_end_theta(p.g, d_k, t_k)
+        if d_k == 0.0:
+            assert th == 0.0
+            continue
+        err = (Fraction(th.real) - re) ** 2 + (Fraction(th.imag) - im) ** 2
+        worst = max(worst, math.sqrt(err / (re * re + im * im)))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("k", [60, -60, 300, -300, 600, -600, 900, -900])
+def test_propagator_reads_the_ramp_in_its_own_units(k):
+    # scaling g0 and d by 2^-k and t_q and t by 2^k leaves a = g0 t_q,
+    # x = d t_q and tau = t / t_q, so S, bit for bit
+    g0, d, t_q, frac = np.meshgrid(
+        [0.1, -0.25], [0.0, 0.004, -0.03, 0.7, -2.5], [0.3, 3.0], [0.0, 0.3, 1.0]
+    )
+    t = frac * t_q
+    series = np.abs(2.0 * d * t_q) < MAGNUS_SERIES_CROSSOVER
+    assert series.any() and not series.all()
+    S = propagator_array(g0, d, t_q, t)
+    scaled = propagator_array(np.ldexp(g0, -k), np.ldexp(d, -k), np.ldexp(t_q, k), np.ldexp(t, k))
+    np.testing.assert_array_equal(scaled, S)
 
 
 @given(
@@ -425,20 +475,30 @@ def test_trace_array_matches_records(params, rule, request):
 
 
 @pytest.mark.parametrize(
-    "delta_half, finite_at, overflows_at", [(0.0, 3e10, 1e11), (1e-3, 3e102, 1e103)],
+    "delta_half, finite_at, overflows_at", [(0.0, 1.3e155, 1.4e155), (1e-3, 1.3e155, 1.4e155)],
     ids=["series", "closed"],
 )
 def test_ramp_overflow_thresholds(delta_half, finite_at, overflows_at):
-    # the README's thresholds: t_q**29 on the series branch, t_q**3 on the closed form
+    # the README's threshold on both branches: a * a overflows past |a| = |g0 t_q| ~ 1.34e154
     for t_q, finite in ((finite_at, True), (overflows_at, False)):
         assert np.isfinite(propagator_array(0.1, delta_half, t_q, t_q)).all() == finite
 
 
 @pytest.mark.parametrize("g", [0.1, 0.0], ids=["wide", "g0"])
 def test_overflowing_fixed_ramp_time_raises(g):
-    # t_q**3 in the closed forms passes the float range; with
+    # a = g0 t_q squared passes the float range; with
     # RuntimeWarnings as errors, no overflow warning may escape either
     p = LatticeParams(g=g)
+    if g == 0.0:  # a = 0 at any t_q: the ramp does nothing
+        trace = quench_trace_array(p, 0.48 * math.pi, QuenchSchedule(g0=p.g, t_q=1e300), n_t=33)
+        assert np.all(trace[:, 4:] == 0.0)
+        scan = quench_scan_array(p, QuenchTimeRule(mode="fixed", t_q=1e300), n_k=33)
+        unit = quench_scan_array(p, QuenchTimeRule(mode="fixed", t_q=1.0), n_k=33)
+        nan_rows = np.isnan(unit[:, 4])  # the two delta = 0 rows, degenerate at g = 0
+        assert nan_rows.sum() == 2
+        np.testing.assert_array_equal(np.isnan(scan[:, 4:]).any(axis=1), nan_rows)
+        assert np.all(scan[~nan_rows, 4:] == 0.0)
+        return
     with pytest.raises(OverflowError, match="closed forms overflow"):
         quench_scan_array(p, QuenchTimeRule(mode="fixed", t_q=1e300), n_k=33)
     with pytest.raises(OverflowError, match="closed forms overflow"):
