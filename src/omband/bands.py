@@ -134,6 +134,12 @@ def basis_arrays(g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(x.reshape(shape) for x in (r, *amps))
 
 
+def _zone_bound(p: LatticeParams) -> float:
+    """At least twice every band energy, gap and |delta| over the zone, or
+    inf where those may pass the float range."""
+    return 4.0 * (abs(p.g) + abs(p.omega_m) + abs(p.Delta) + 2.0 * (abs(p.K) + abs(p.J)))
+
+
 def band_energies(p: LatticeParams, kd: float) -> tuple[float, float]:
     """Return ``(omega_plus, omega_minus)`` at quasimomentum ``kd``."""
     rc = reduced_coeffs(p, kd)
@@ -207,36 +213,35 @@ def weight_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class ZoneRows:
-    """The rows of a table over the zone, computed when they are asked for.
+    """The rows of a table over a grid, computed when they are asked for.
 
-    The table runs over :func:`band_scan`'s kd grid once per phase, and
-    ``rows_at(phase, kd)`` gives one phase's 2-D float rows at a slice of
-    the grid.  ``len()`` is the row count; a slice ``rows[a:b]`` computes
-    those rows as one array; iteration yields the rows, computing them a
-    block at a time.  Only the grid and the rows asked for are held.
+    The table runs over ``grid`` (the zone's kd, a ramp's t) once per
+    phase, and ``rows_at(phase, x)`` gives one phase's 2-D float rows at a
+    slice ``x`` of the grid.  ``len()`` is the row count; a slice
+    ``rows[a:b]`` computes those rows as one array, and iteration computes
+    them all.  Only the grid and the rows asked for are held.
     """
 
     def __init__(
-        self, n_k: int, n_phases: int, rows_at: Callable[[int, np.ndarray], np.ndarray]
+        self, grid: np.ndarray, n_phases: int, rows_at: Callable[[int, np.ndarray], np.ndarray]
     ) -> None:
-        self.kd = np.linspace(-math.pi, math.pi, n_k)
+        self.grid = grid
         self.n_phases = n_phases
         self.rows_at = rows_at
 
     def __len__(self) -> int:
-        return self.n_phases * len(self.kd)
+        return self.n_phases * len(self.grid)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         first, stop, _ = rows.indices(len(self))
-        n = len(self.kd)
+        n = len(self.grid)
         return np.concatenate([
-            self.rows_at(phase, self.kd[max(first - phase * n, 0) : stop - phase * n])
+            self.rows_at(phase, self.grid[max(first - phase * n, 0) : stop - phase * n])
             for phase in range(first // n, (stop - 1) // n + 1)
         ])
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        for first in range(0, len(self), 4096):
-            yield from self[first : first + 4096]
+        return iter(self[:])
 
 
 def _fold_half_open(kd: float) -> float:

@@ -37,17 +37,20 @@ time of 0: a gap that overflows names the first of ``g``, ``J``, ``K``,
 ``tq_scale / gap`` names ``tq_scale``.  So does a ramp whose
 ``|g * t_q|`` passes about 1.3e154 (a bad ``tq_value`` in fixed mode, a
 bad ``tq_scale`` otherwise, or ``g`` where ``g * g`` overflows), the one
-scale that the Magnus integrals square.
+scale that the Magnus integrals square.  ``bands`` and ``gap`` exit 2 in
+the same way where a band energy or the gap passes the float range.
+Every refusal comes before any output: a table is computed one formatter
+pass at a time as it is written, so where a cheap, conservative test says
+a row may be refused, every block is computed once first.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from typing import NoReturn, TextIO
 
@@ -58,11 +61,12 @@ from .bands import (
     BAND_SCAN_COLUMNS,
     DegeneratePointError,
     ZoneRows,
+    _zone_bound,
     band_scan,
     gap_array,
     weight_arrays,
 )
-from .fmt17 import iter_row_blocks
+from .fmt17 import csv_cell, pass_rows, table_pieces
 from .meanfield import (
     DriveParams,
     MeanFieldConvergenceError,
@@ -82,6 +86,9 @@ from .quench import (
     QuenchSchedule,
     QuenchTimeRule,
     SingularBathError,
+    _may_be_singular,
+    _scan_may_refuse,
+    _trace_may_refuse,
     propagator_array,
     quench_scan_array,
     quench_trace_array,
@@ -349,86 +356,71 @@ def _metadata(cfg: RunConfig) -> dict[str, str]:
     for key in _KINDS:
         value = getattr(cfg, key)
         if isinstance(value, tuple):
-            meta[key] = ",".join(map(_csv_cell, value))
+            meta[key] = ",".join(map(csv_cell, value))
         else:
-            meta[key] = _csv_cell(value)
+            meta[key] = csv_cell(value)
     return meta
-
-
-def _csv_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value  # also "nan", "inf", "-inf"
-    return str(value)
-
-
-def _json_cell(value: object) -> str:
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        return "null"
-    return _csv_cell(value)
-
-
-# Rows per block of output: fmt17 fills each in passes of a few thousand
-# cells, so its temporaries stay smaller than the block.
-_BLOCK_ROWS = 4096
-
-
-def _pieces(table: OutputTable, fmt: str) -> Iterator[str]:
-    """The table's text in order: the header, the body in blocks of
-    ``_BLOCK_ROWS`` rows, then the trailer.  A bad ``fmt`` raises
-    ConfigError at the first step, before anything is yielded."""
-    _check("format", fmt)
-    if fmt == "csv":
-        head = "".join(f"# {k} = {v}\n" for k, v in table.metadata.items())
-        yield head + ",".join(table.columns) + "\n"
-    else:
-        meta = ",".join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in table.metadata.items())
-        cols = ",".join(json.dumps(c) for c in table.columns)
-        yield '{"metadata":{' + meta + '},"columns":[' + cols + '],"rows":['
-    if not isinstance(table.rows, list):
-        yield from iter_row_blocks(table.rows, _BLOCK_ROWS, fmt)
-    elif fmt == "csv":
-        yield "".join(",".join(map(_csv_cell, row)) + "\n" for row in table.rows)
-    else:
-        yield ",".join("[" + ",".join(map(_json_cell, r)) + "]" for r in table.rows)
-    if fmt == "json":
-        yield "]}\n"
 
 
 def emit(table: OutputTable, fmt: str) -> str:
     """Serialize a table to CSV or JSON text, byte-deterministically."""
-    return "".join(_pieces(table, fmt))
+    _check("format", fmt)
+    return "".join(table_pieces(table, fmt))
 
 
 def write_table(table: OutputTable, fmt: str, fh: TextIO) -> int:
     """Write :func:`emit`'s text to ``fh`` one block at a time, so that no
     more than one block is held; returns the number of characters written.
     A bad ``fmt`` raises ConfigError before anything is written."""
+    _check("format", fmt)
     # map drops each piece once written; a for loop would still hold it
     # while the next block is formatted
-    return sum(map(fh.write, _pieces(table, fmt)))
+    return sum(map(fh.write, table_pieces(table, fmt)))
 
 
 # ---------------------------------------------------------------- commands
 
 
+def _rows(columns: tuple, grid: np.ndarray, rows_at: Callable, n_phases: int = 1,
+          *, may_refuse: bool = False) -> tuple:
+    """``columns`` and a :class:`ZoneRows` over ``grid``, computed one
+    formatter pass at a time as they are written.  ``may_refuse`` is a
+    cheap, conservative test that some row may raise: then every block is
+    computed once now, so that the error comes before any output."""
+    rows = ZoneRows(grid, n_phases, rows_at)
+    if may_refuse:
+        step = pass_rows(len(columns))
+        for first in range(0, len(rows), step):
+            rows[first : first + step]  # computed and dropped
+    return columns, rows
+
+
+def _zone(cfg: RunConfig) -> np.ndarray:
+    """The kd grid of every table over the zone: band_scan's."""
+    return np.linspace(-math.pi, math.pi, cfg.n_k)
+
+
+def _finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise OverflowError(f"{what} pass the float range")
+
+
 def _cmd_bands(cfg: RunConfig) -> tuple:
     def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
-        return np.column_stack((kd / math.pi, band_scan(cfg.lattice, kd=kd)[:, 1:]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scan = band_scan(cfg.lattice, kd=kd)
+        _finite(scan[:, 1:4], "the band energies or the gap")
+        return np.column_stack((kd / math.pi, scan[:, 1:]))
 
-    return ("kd_over_pi", *BAND_SCAN_COLUMNS[1:]), ZoneRows(cfg.n_k, 1, rows_at)
+    columns = ("kd_over_pi", *BAND_SCAN_COLUMNS[1:])
+    return _rows(columns, _zone(cfg), rows_at, may_refuse=math.isinf(_zone_bound(cfg.lattice)))
 
 
 def _cmd_weights(cfg: RunConfig) -> tuple:
     def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
         return np.column_stack((kd / math.pi, *weight_arrays(cfg.lattice, kd)))
 
-    return ("kd_over_pi", *BAND_SCAN_COLUMNS[-4:]), ZoneRows(cfg.n_k, 1, rows_at)
+    return _rows(("kd_over_pi", *BAND_SCAN_COLUMNS[-4:]), _zone(cfg), rows_at)
 
 
 def _cmd_gap(cfg: RunConfig) -> tuple:
@@ -436,9 +428,14 @@ def _cmd_gap(cfg: RunConfig) -> tuple:
 
     def rows_at(phase: int, kd: np.ndarray) -> np.ndarray:
         p = phases[phase]
-        return np.column_stack((np.full(len(kd), p.theta), kd / math.pi, gap_array(p, kd)))
+        with np.errstate(over="ignore"):
+            gap = gap_array(p, kd)
+        _finite(gap, "the gap values")
+        return np.column_stack((np.full(len(kd), p.theta), kd / math.pi, gap))
 
-    return ("theta", "kd_over_pi", "gap"), ZoneRows(cfg.n_k, len(phases), rows_at)
+    may_refuse = math.isinf(_zone_bound(cfg.lattice))
+    return _rows(("theta", "kd_over_pi", "gap"), _zone(cfg), rows_at, len(phases),
+                 may_refuse=may_refuse)
 
 
 def _cmd_meanfield(cfg: RunConfig) -> tuple:
@@ -464,17 +461,12 @@ def _cmd_thermal(cfg: RunConfig) -> tuple:
         alpha_A = weight_arrays(cfg.lattice, kd)[0]  # NaN if degenerate
         return np.column_stack((kd / math.pi, alpha_A, *thermal_arrays(alpha_A, bath)))
 
-    rows = ZoneRows(cfg.n_k, 1, rows_at)
-    # a mode decays at min(kappa, Gamma) / 2 or faster; if that is 0, compute
-    # every row now, so that SingularBathError comes before any output
-    if 0.5 * min(bath.kappa, bath.Gamma) == 0.0:
-        for _ in rows:
-            pass
-    return ("kd_over_pi", "alpha_A", "N_th_A", "N_th_B"), rows
+    return _rows(("kd_over_pi", "alpha_A", "N_th_A", "N_th_B"), _zone(cfg), rows_at,
+                 may_refuse=_may_be_singular(bath))
 
 
 def _cmd_quench_trace(cfg: RunConfig) -> tuple:
-    p = cfg.lattice
+    p, bath = cfg.lattice, cfg.bath
     kd = cfg.kd_over_pi * math.pi
     t_q = float(ramp_times(p, cfg.time_rule, kd))
     if math.isnan(t_q):
@@ -483,13 +475,25 @@ def _cmd_quench_trace(cfg: RunConfig) -> tuple:
         else:
             where = f"gap vanishes (kd={kd!r})"
         raise DegeneratePointError(f"{where}; no finite ramp time under tq_mode={cfg.tq_mode}")
-    trace = quench_trace_array(p, kd, QuenchSchedule(p.g, t_q), n_t=cfg.n_t, bath=cfg.bath)
-    return ("t_over_tq", *QUENCH_COLUMNS[2:]), np.column_stack((trace[:, 1] / t_q, trace[:, 2:]))
+    schedule = QuenchSchedule(p.g, t_q)
+
+    def rows_at(_phase: int, t: np.ndarray) -> np.ndarray:
+        trace = quench_trace_array(p, kd, schedule, bath=bath, t=t)
+        return np.column_stack((trace[:, 1] / t_q, trace[:, 2:]))
+
+    return _rows(("t_over_tq", *QUENCH_COLUMNS[2:]), np.linspace(0.0, t_q, cfg.n_t), rows_at,
+                 may_refuse=_trace_may_refuse(p, kd, schedule, bath))
 
 
 def _cmd_quench_scan(cfg: RunConfig) -> tuple:
-    scan = quench_scan_array(cfg.lattice, cfg.time_rule, n_k=cfg.n_k, bath=cfg.bath)
-    return ("kd_over_pi", *QUENCH_COLUMNS[4:]), np.column_stack((scan[:, 0] / math.pi, scan[:, 4:]))
+    p, rule, bath = cfg.lattice, cfg.time_rule, cfg.bath
+
+    def rows_at(_phase: int, kd: np.ndarray) -> np.ndarray:
+        scan = quench_scan_array(p, rule, bath=bath, kd=kd)
+        return np.column_stack((kd / math.pi, scan[:, 4:]))
+
+    return _rows(("kd_over_pi", *QUENCH_COLUMNS[4:]), _zone(cfg), rows_at,
+                 may_refuse=_scan_may_refuse(p, rule, bath))
 
 
 def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
@@ -570,8 +574,9 @@ _RUNNERS = {
 
 
 def run_command(cfg: RunConfig, command: str) -> OutputTable:
-    """Produce the output table for one subcommand (no I/O); a zone table's
-    rows are computed as they are written, but any error is raised here."""
+    """Produce the output table for one subcommand (no I/O); a numeric
+    table's rows are computed as they are written, but any error is raised
+    here."""
     try:
         runner = _RUNNERS[command]
     except KeyError:

@@ -23,6 +23,9 @@ A cell with |x| in [1e-5, 1e16), or ±0, is written without a Python call:
 
 Every other cell (tiny, huge, inf, nan) gets Python's ``"%.17g"``, or
 ``null`` in JSON, spliced into its slot.
+
+:func:`table_pieces` lays out a whole table, its header and trailer
+included, one pass of ``_PASS_CELLS`` cells at a time.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from functools import cache
+from json import dumps
 
 import numpy as np
 
-__all__ = ["iter_row_blocks", "row_blocks"]
+__all__ = ["csv_cell", "iter_row_blocks", "pass_rows", "row_blocks", "table_pieces"]
 
 # A slot: 0 opening separator, 1 sign, 2-6 "0.000" prefix, 7-40 the 17
 # digits, each followed by a point slot, 41-44 "e-05", 45-46 closing
@@ -43,7 +47,7 @@ _TEXT = slice(1, 45)  # room for any "%.17g" text
 _DIGITS = slice(7, 41, 2)
 _CLOSE = 45
 _EXPONENTS = range(-5, 17)  # decimal exponents a fast cell can have
-_PASS_CELLS = 4096  # cells per pass: a pass's slots take 192 kB
+_PASS_CELLS = 4096  # cells per pass, the unit of output: a pass's slots take 192 kB
 
 
 @cache
@@ -82,13 +86,18 @@ def _exponent(a: np.ndarray) -> np.ndarray:
 
 def _scaled(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """round-half-even(a * 10**s) as int64, exact when the result is >= 2**53."""
-    b, b_hi, b_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
-    c = a * 134217729.0
-    a_hi = c - (c - a)
+    a_hi = a * 134217729.0
+    a_hi -= a_hi - a
     a_lo = a - a_hi
-    p = a * b
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
+    p = a * _POW10[s]
+    # e = ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi) + a_lo b_lo, in place
+    e = a_hi * b_hi
+    e -= p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return p.astype(np.int64) + np.rint(e, out=e).astype(np.int64)
 
 
 def _digits(n: np.ndarray) -> np.ndarray:
@@ -98,13 +107,18 @@ def _digits(n: np.ndarray) -> np.ndarray:
     top = n // 10**16
     out[:, 0] = _PAIRS.take(top)
     rest = n - top * 10**16
+    del top
     hi = rest // 10**8
-    for col, half in ((1, hi), (5, rest - hi * 10**8)):
+    rest -= hi * 10**8
+    # each remainder in place of its dividend, so that few temporaries live at once
+    for col, half in ((1, hi), (5, rest)):
         upper = half // 10**4
-        for c, quad in ((col, upper), (col + 2, half - upper * 10**4)):
+        half -= upper * 10**4
+        for c, quad in ((col, upper), (col + 2, half)):
             pair = quad // 100
             out[:, c] = _PAIRS.take(pair)
-            out[:, c + 1] = _PAIRS.take(quad - pair * 100)
+            quad -= pair * 100
+            out[:, c + 1] = _PAIRS.take(quad)
     return out.view(np.uint8)
 
 
@@ -139,6 +153,7 @@ def _text(rows: np.ndarray, json: bool, last: bool) -> str:
     t, d, other = _layout(v)
     cells = _template().take(t, axis=0)
     cells[:, _DIGITS] &= d
+    del t, d  # before the copies below
     if other.size:
         text = (
             "null" if json and not math.isfinite(y) else "%.17g" % y
@@ -162,6 +177,11 @@ def _text(rows: np.ndarray, json: bool, last: bool) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
+def pass_rows(n_columns: int) -> int:
+    """Rows of an ``n_columns``-wide table in one pass of ``_PASS_CELLS`` cells."""
+    return max(1, _PASS_CELLS // n_columns)
+
+
 def iter_row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> Iterator[str]:
     """The rows of a 2-D float table as text, ``block_rows`` rows per string.
 
@@ -170,24 +190,64 @@ def iter_row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> Iterator[str
     strings concatenate to the whole body.  ``rows`` may also be any
     sized table whose slices ``rows[a:b]`` are 2-D float arrays: a block
     is sliced only when its string is due, so a table that computes its
-    rows when sliced is computed one block at a time.  Each string is
-    built from passes of about ``_PASS_CELLS`` cells, so the temporaries
-    stay smaller than the string; the passes are freed before the string
-    is yielded, so a caller that writes each string and drops it holds
-    one block at a time.
+    rows when sliced is computed one block at a time.  Each block is
+    formatted in one pass, whose temporaries peak at about 100 bytes a
+    cell, so ``block_rows = pass_rows(n_columns)`` keeps them to about
+    400 kB; a caller that writes each string and drops it holds one
+    block at a time.
     """
     json = fmt == "json"
     n = len(rows)
     for first in range(0, n, block_rows):
         block = np.asarray(rows[first : first + block_rows], dtype=np.float64)
-        last = first + len(block) == n
-        step = max(1, _PASS_CELLS // max(1, block.shape[1]))
-        yield "".join([
-            _text(block[i : i + step], json, last=last and i + step >= len(block))
-            for i in range(0, len(block), step)
-        ])
+        yield _text(block, json, last=first + len(block) == n)
 
 
 def row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> list[str]:
     """:func:`iter_row_blocks` as a list."""
     return list(iter_row_blocks(rows, block_rows, fmt))
+
+
+def csv_cell(value: object) -> str:
+    """One value as CSV text: a float as ``"%.17g"``, a bool as true or false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % value  # also "nan", "inf", "-inf"
+    return str(value)
+
+
+def _json_cell(value: object) -> str:
+    if isinstance(value, str):
+        return dumps(value)
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return "null"
+    return csv_cell(value)
+
+
+def table_pieces(table, fmt: str) -> Iterator[str]:
+    """A table's text in order, as JSON if ``fmt`` is ``"json"`` and CSV
+    otherwise: the header, the body one pass at a time, then the trailer.
+
+    ``table`` has ``metadata`` (str to str), ``columns`` and ``rows``: a
+    list of tuples of any cells, or 2-D floats as :func:`iter_row_blocks`
+    takes them.  CSV writes the metadata as ``# key = value`` lines; JSON
+    writes one ``{"metadata", "columns", "rows"}`` object.
+    """
+    if fmt == "json":
+        meta = ",".join(f"{dumps(k)}:{dumps(v)}" for k, v in table.metadata.items())
+        cols = ",".join(dumps(c) for c in table.columns)
+        yield '{"metadata":{' + meta + '},"columns":[' + cols + '],"rows":['
+    else:
+        head = "".join(f"# {k} = {v}\n" for k, v in table.metadata.items())
+        yield head + ",".join(table.columns) + "\n"
+    if not isinstance(table.rows, list):
+        yield from iter_row_blocks(table.rows, pass_rows(len(table.columns)), fmt)
+    elif fmt == "json":
+        yield ",".join("[" + ",".join(map(_json_cell, r)) + "]" for r in table.rows)
+    else:
+        yield "".join(",".join(map(csv_cell, row)) + "\n" for row in table.rows)
+    if fmt == "json":
+        yield "]}\n"

@@ -37,6 +37,9 @@ array code.  A scan or a trace is one 2-D array with columns
 :data:`QUENCH_COLUMNS`; :func:`quench_scan` and :func:`quench_trace` wrap
 its rows as :class:`QuenchRecord` lists.  :func:`ramp_times` is the one
 rule that turns a :class:`QuenchTimeRule` into ramp durations for both.
+Given a slice of its grid, a scan or a trace computes those rows alone,
+so a table can be computed a block at a time; ``_scan_may_refuse`` and
+``_trace_may_refuse`` tell cheaply whether some row may be refused.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import DegeneratePointError, basis_arrays, gap_array, gap_extrema
+from .bands import DegeneratePointError, _zone_bound, basis_arrays, gap_array, gap_extrema
 from .bands import gap, hybrid_basis  # noqa: F401 -- rebound by perfbench/tracer.py
 from .model import FINITE, NONNEGATIVE, POSITIVE, LatticeParams, check
 from .model import coeff_arrays, reduced_coeffs
@@ -187,6 +190,12 @@ def thermal_arrays(alpha_A: np.ndarray, bath: BathParams) -> tuple[np.ndarray, .
     if math.isinf(bath.Gamma * bath.n_th):
         return tuple(bath.n_th * (w * bath.Gamma / den) for w, den in modes)
     return tuple(w * bath.Gamma * bath.n_th / den for w, den in modes)
+
+
+def _may_be_singular(bath: BathParams) -> bool:
+    """Whether some mode may have no steady state: each decays at
+    min(kappa, Gamma) / 2 or faster."""
+    return 0.5 * min(bath.kappa, bath.Gamma) == 0.0
 
 
 @dataclass(frozen=True)
@@ -425,23 +434,30 @@ def quench_trace_array(
     s: QuenchSchedule,
     n_t: int = 512,
     bath: BathParams = DEFAULT_BATH,
+    *,
+    t: np.ndarray | None = None,
 ) -> np.ndarray:
     """Populations along the ramp at fixed ``kd``, on ``n_t`` times in [0, t_q].
 
     Returns an ``(n_t, 6)`` array with columns :data:`QUENCH_COLUMNS`.
     The initial state is thermal and diagonal in the hybrid basis of the
     pre-ramp coupling ``s.g0``; that same reference is subtracted at all
-    later times.  Raises :class:`DegeneratePointError` if the hybrid
-    basis is degenerate at any sample, and OverflowError if
-    ``|s.g0 * s.t_q|`` passes about 1.34e154.
+    later times.  Given ``t``, the rows are those times instead of the
+    grid (``n_t`` is then unused): each row depends on its own ``t`` only,
+    so a slice of the grid gives the same bytes as the grid's rows.
+    Raises :class:`DegeneratePointError` if the hybrid basis is degenerate
+    at any sample, and OverflowError if ``|s.g0 * s.t_q|`` passes about
+    1.34e154.
     """
-    check("n_t", n_t, (2, math.inf))
-    t = np.linspace(0.0, s.t_q, n_t)
+    if t is None:
+        check("n_t", n_t, (2, math.inf))
+        t = np.linspace(0.0, s.t_q, n_t)
+    t = np.asarray(t, dtype=float)
     M, alpha_A = _ramp_map(reduced_coeffs(p, kd).delta, s.g0, s.t_q, t)
     pops = _populations(M, *thermal_arrays(alpha_A, bath), bath.n_th)
     if np.isnan(pops[0]).any():
         raise DegeneratePointError.at(kd)
-    return np.column_stack((np.full(n_t, kd), t, *pops))
+    return np.column_stack((np.full(len(t), kd), t, *pops))
 
 
 def quench_trace(
@@ -506,13 +522,16 @@ def quench_scan_array(
     n_k: int = 512,
     *,
     bath: BathParams = DEFAULT_BATH,
+    kd: np.ndarray | None = None,
 ) -> np.ndarray:
     """End-of-ramp excitations across the zone, ``g0 = p.g``.
 
     Returns an ``(n_k, 6)`` array with columns :data:`QUENCH_COLUMNS`.
     ``theta`` overrides ``p.theta`` when given (convenient for phase
     sweeps).  Rows are in ascending ``kd`` on an inclusive [-pi, pi]
-    grid, with ``t`` the ramp time from :func:`ramp_times`.  A row with
+    grid, with ``t`` the ramp time from :func:`ramp_times`.  Given ``kd``,
+    the rows are those quasimomenta instead of the grid (``n_k`` is then
+    unused), as in :func:`~omband.bands.band_scan`.  A row with
     no finite ramp time (zero gap) or a degenerate hybrid basis --
     possible only when ``p.g = 0`` -- is NaN-filled rather than
     aborting the scan.  A ramp whose ``|p.g * t_q|`` passes about 1.34e154
@@ -520,16 +539,45 @@ def quench_scan_array(
     ``t_q``; under the per-k and global-min rules ``|p.g * t_q|`` is at
     most ``rule.scale / 2``.
     """
-    check("n_k", n_k, (2, math.inf))
+    if kd is None:
+        check("n_k", n_k, (2, math.inf))
+        kd = np.linspace(-math.pi, math.pi, n_k)
+    kd = np.asarray(kd, dtype=float)
     if theta is not None:
         p = replace(p, theta=theta)
-    kd = np.linspace(-math.pi, math.pi, n_k)
     t_q = ramp_times(p, rule, kd)
     ok = np.isfinite(t_q)
-    out = np.column_stack((kd, t_q, np.full((n_k, len(QUENCH_COLUMNS) - 2), math.nan)))
+    out = np.column_stack((kd, t_q, np.full((len(kd), len(QUENCH_COLUMNS) - 2), math.nan)))
     M, alpha_A = _ramp_map(coeff_arrays(p, kd[ok])[2], p.g, t_q[ok], t_q[ok])
     out[ok, 2:] = np.column_stack(_populations(M, *thermal_arrays(alpha_A, bath), bath.n_th))
     return out
+
+
+def _ramp_may_refuse(bath: BathParams, g0: float, delta: float, t_lo: float, t_hi: float) -> bool:
+    """A cheap, conservative test that ramps with |g0| and |delta| up to these
+    and ramp times in [t_lo, t_hi] may be refused: a ramp time of 0 or inf,
+    a mode with no steady state, or a = g0 t_q (which the Magnus integrals
+    square) or the phase 2 delta t_q near the float range."""
+    fits = t_lo > 0.0 and abs(g0) * t_hi < 2.0**500 and delta * t_hi < 2.0**1000
+    return _may_be_singular(bath) or not fits
+
+
+def _trace_may_refuse(p: LatticeParams, kd: float, s: QuenchSchedule, bath: BathParams) -> bool:
+    """:func:`_ramp_may_refuse` for :func:`quench_trace_array`, or delta = 0
+    at ``kd``, without which no sample's basis is degenerate."""
+    delta = reduced_coeffs(p, kd).delta
+    return delta == 0.0 or _ramp_may_refuse(bath, s.g0, abs(delta), s.t_q, s.t_q)
+
+
+def _scan_may_refuse(p: LatticeParams, rule: QuenchTimeRule, bath: BathParams) -> bool:
+    """:func:`_ramp_may_refuse` for :func:`quench_scan_array` over the zone."""
+    bound = _zone_bound(p)  # more than any |delta| or gap
+    if rule.mode == "fixed":
+        return _ramp_may_refuse(bath, p.g, bound, rule.t_q, rule.t_q)  # type: ignore[arg-type]
+    if p.g == 0.0:  # gaps down to 0: t_q has no bound
+        return True
+    # t_q = scale / gap, with 2|g| <= gap <= bound / 2
+    return _ramp_may_refuse(bath, p.g, bound, rule.scale / bound, rule.scale / abs(p.g))
 
 
 def quench_scan(

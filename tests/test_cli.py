@@ -459,6 +459,37 @@ def test_zero_ramp_time_exits_2_naming_the_key(argv, key, capsys):
     assert err.startswith(f"omband: config error: {key}: ") and err.count("\n") == 1
 
 
+# a band energy or the gap past the float range, with the key that main names
+BAND_OVERFLOWS = [
+    (("gap", "--g", "1e308", "--n_k", "4"), "g"),
+    (("bands", "--omega_m", "1e308", "--Delta", "1e308", "--n_k", "4"), "omega_m"),
+    (("bands", "--K", "1e308", "--n_k", "4"), "K"),
+    (("bands", "--J", "1e308", "--n_k", "4"), "J"),
+]
+
+
+@pytest.mark.parametrize("argv, key", BAND_OVERFLOWS)
+def test_overflowing_band_energies_exit_2_before_output(argv, key, capsys, tmp_path):
+    target = tmp_path / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out_flags in ((), ("--out", str(target))):
+            code, out, err = run_cli(capsys, *argv, *out_flags)
+            assert code == 2 and out == ""
+            assert err.startswith(f"omband: config error: {key}: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["weights", "thermal"])
+@pytest.mark.parametrize("argv", [argv for argv, _ in BAND_OVERFLOWS])
+def test_weight_tables_print_where_band_energies_overflow(command, argv, capsys):
+    # these tables print no energies, so the rates are no fault of theirs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, *argv[1:])
+    assert code == 0 and err == "" and len(rows_of(out)[1]) == 4
+
+
 GAMMA_MAX = ("--Gamma", "1.7976931348623157e308")
 
 

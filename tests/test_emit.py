@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from omband import cli
+from omband import fmt17
 from omband.cli import OutputTable, emit, parse_config, run_command
 
 
@@ -70,8 +70,8 @@ def _mismatch(got: str, want: str) -> tuple[str, str] | None:
 
 
 NARROW = {"J": "0.043", "K": "0.0013", "g": "0.086"}
-# (command, flags, has NaN cells); n_k = 8197 spans two full row blocks and
-# a partial one, and at g = 0 puts grid points on the degenerate kd = +-pi/2
+# (command, flags, has NaN cells); n_k = 8197 spans many row blocks and a
+# partial one, and at g = 0 puts grid points on the degenerate kd = +-pi/2
 CASES = [
     ("bands", {"n_k": "8197"}, False),
     ("bands", {"g": "0", "n_k": "8197"}, True),
@@ -119,7 +119,7 @@ def test_block_format_matches_fmt_float(values):
         metadata={},
     )
     cells = values.tolist()
-    with mock.patch.object(cli, "_BLOCK_ROWS", 3):  # several blocks per table
+    with mock.patch.object(fmt17, "_PASS_CELLS", 3):  # several blocks per table
         csv_text, json_text = emit(table, "csv"), emit(table, "json")
     data = csv_text.splitlines()[1:]
     assert [ln.split(",") for ln in data] == [[_fmt_float(x) for x in r] for r in cells]

@@ -13,8 +13,9 @@ import pytest
 
 from omband import cli
 from omband.cli import ConfigError, emit, main, parse_config, run_command, write_table
+from omband.fmt17 import pass_rows
 
-# n_k = 8197 (n_t for the trace) spans two full row blocks and a partial one
+# n_k = 8197 (n_t for the trace) spans several full row blocks and a partial one
 CASES = [
     ("bands", {"n_k": "8197"}),
     ("weights", {"n_k": "8197", "g": "0"}),  # NaN cells at the crossings
@@ -47,6 +48,12 @@ def test_main_writes_the_bytes_of_emit(command, flags, fmt, tmp_path, capsysbina
     assert target.read_bytes() == want
 
 
+def _blocks(table):
+    """The row count of each block: one formatter pass of the table's columns."""
+    step = pass_rows(len(table.columns))
+    return [min(step, len(table.rows) - first) for first in range(0, len(table.rows), step)]
+
+
 class _Recorder:
     """A text sink that keeps the length of each write."""
 
@@ -65,11 +72,12 @@ def test_write_table_writes_a_block_at_a_time(fmt):
     n = write_table(table, fmt, sink)
     text = emit(table, fmt)
     assert n == len(text) and "".join(sink.writes) == text
-    # the header, three blocks of at most _BLOCK_ROWS rows, and JSON's "]}"
-    assert len(sink.writes) == 1 + 3 + (fmt == "json")
-    body = sink.writes[1:4]
+    # the header, several blocks of one formatter pass each, and JSON's "]}"
+    blocks = _blocks(table)
+    assert len(blocks) > 2 and len(sink.writes) == 1 + len(blocks) + (fmt == "json")
+    body = sink.writes[1 : 1 + len(blocks)]
     rows = [b.count("\n") if fmt == "csv" else b.count("[") for b in body]
-    assert rows == [cli._BLOCK_ROWS, cli._BLOCK_ROWS, 8197 - 2 * cli._BLOCK_ROWS]
+    assert rows == blocks
 
 
 def test_bad_format_raises_before_anything_is_written():
@@ -114,13 +122,17 @@ def test_write_table_peak_is_a_fraction_of_the_output(command, flags, fmt, tmp_p
         ("weights", {}, "csv"),
         ("thermal", {}, "csv"),
         ("gap", {"theta_list": FIVE_PHASES}, "csv"),
+        # whole, these took 52.7 MB and 37.9 MB at this size
+        ("quench-scan", {}, "csv"),
+        ("quench-trace", {"n_t": "131072"}, "csv"),
     ],
-    ids=["bands-csv", "bands-json", "weights", "thermal", "gap"],
+    ids=["bands-csv", "bands-json", "weights", "thermal", "gap", "quench-scan", "quench-trace"],
 )
 def test_zone_table_memory_does_not_grow_with_n_k(command, flags, fmt):
     # a zone table is computed a block at a time as it is written: the
     # peak is one block and the 1 MB kd grid, where the whole table and
-    # its temporaries would take tens of MB at this size
+    # its temporaries would take tens of MB at this size; so is a quench
+    # table, over its kd (or t) grid
     cfg = parse_config(None, {**flags, "n_k": "131072"})
     with open(os.devnull, "w", encoding="utf-8") as fh:
         tracemalloc.start()
@@ -135,7 +147,7 @@ def test_zone_table_memory_does_not_grow_with_n_k(command, flags, fmt):
 @pytest.mark.parametrize("rate", ["kappa", "Gamma"])
 def test_a_failure_leaves_no_output(rate, tmp_path, capsysbinary):
     # at g = 0 a mode is purely photonic or phononic, so a zero rate leaves
-    # it no decay channel; the third block is the first to hold such a point
+    # it no decay channel; every block holds such a point, the first included
     argv = ["thermal", "--g", "0", f"--{rate}", "0", "--n_k", "8197"]
     assert main(argv) == 2
     out, err = capsysbinary.readouterr()
@@ -158,7 +170,7 @@ def test_band_rows_go_through_the_traced_band_scan(command, monkeypatch):
     monkeypatch.setattr(cli, "band_scan", counted)
     table = run_command(parse_config(None, {"n_k": "8197"}), command)
     write_table(table, "csv", _Recorder())
-    assert calls == [cli._BLOCK_ROWS, cli._BLOCK_ROWS, 8197 - 2 * cli._BLOCK_ROWS]
+    assert len(calls) > 2 and calls == _blocks(table)
 
 
 @pytest.mark.parametrize("command", ["weights", "thermal"])
@@ -174,4 +186,28 @@ def test_weight_rows_go_through_weight_arrays_a_block_at_a_time(command, monkeyp
     monkeypatch.setattr(cli, "weight_arrays", counted)
     table = run_command(parse_config(None, {"n_k": "8197"}), command)
     write_table(table, "csv", _Recorder())
-    assert calls == [cli._BLOCK_ROWS, cli._BLOCK_ROWS, 8197 - 2 * cli._BLOCK_ROWS]
+    assert len(calls) > 2 and calls == _blocks(table)
+
+
+# Refusals of tables that span many blocks: one found after the first block
+# is written would leave output behind.  (argv, exit code)
+REFUSALS = [
+    # delta = 0 at J = K, so the middle sample, where g(t) = 0, is degenerate
+    (("quench-trace", "--J", "0.2", "--K", "0.2", "--n_t", "8197", "--tq_mode", "fixed"), 4),
+    # (g0 t_q)^2 overflows only next to the gap minima, past the first block
+    (("quench-scan", "--tq_scale", "2.9e154", "--n_k", "8197"), 2),
+    (("quench-trace", "--tq_mode", "fixed", "--tq_value", "1e300", "--n_t", "8197"), 2),
+    # at g = 0 a mode is purely photonic or phononic: kappa = 0 leaves it no decay
+    (("quench-scan", "--g", "0", "--kappa", "0", "--n_k", "8197"), 2),
+    (("quench-trace", "--g", "0", "--kappa", "0", "--n_t", "8197"), 2),
+]
+
+
+@pytest.mark.parametrize(("argv", "code"), REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_a_quench_refusal_leaves_no_output(argv, code, tmp_path, capsysbinary):
+    assert main(list(argv)) == code
+    out, err = capsysbinary.readouterr()
+    assert out == b"" and err.startswith(b"omband: ") and err.count(b"\n") == 1
+    target = tmp_path / "table.csv"
+    assert main([*argv, "--out", str(target)]) == code
+    assert not target.exists()
