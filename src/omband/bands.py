@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LatticeParams, check, coeff_arrays, reduced_coeffs
+from .model import FINITE, LatticeParams, check, coeff_arrays
 
 __all__ = [
     "DegeneratePointError",
@@ -134,23 +134,36 @@ def basis_arrays(g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(x.reshape(shape) for x in (r, *amps))
 
 
+def _zone_terms(p: LatticeParams) -> dict[str, float]:
+    """Each rate's term in :func:`_zone_bound`, by key."""
+    return {"g": abs(p.g), "J": 2.0 * p.J, "K": 2.0 * p.K, "omega_m": p.omega_m,
+            "Delta": abs(p.Delta)}
+
+
 def _zone_bound(p: LatticeParams) -> float:
     """At least twice every band energy, gap and |delta| over the zone, or
     inf where those may pass the float range."""
-    return 4.0 * (abs(p.g) + abs(p.omega_m) + abs(p.Delta) + 2.0 * (abs(p.K) + abs(p.J)))
+    return 4.0 * sum(_zone_terms(p).values())
+
+
+def _hybrid_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(omega_plus, omega_minus, r, u_A, v_A, u_B, v_B)`` elementwise over ``kd``."""
+    Omega, xi, delta = coeff_arrays(p, kd)
+    mid = 0.5 * Omega - 0.5 * xi
+    r, *amps = basis_arrays(p.g, delta)
+    return (mid + r, mid - r, r, *amps)
 
 
 def band_energies(p: LatticeParams, kd: float) -> tuple[float, float]:
-    """Return ``(omega_plus, omega_minus)`` at quasimomentum ``kd``."""
-    rc = reduced_coeffs(p, kd)
-    mid = 0.5 * rc.Omega - 0.5 * rc.xi
-    r = float(np.hypot(p.g, rc.delta))
-    return mid + r, mid - r
+    """Return ``(omega_plus, omega_minus)`` at quasimomentum ``kd``: :func:`band_scan`'s."""
+    check("kd", kd, FINITE)
+    return tuple(band_scan(p, kd=[kd])[0, 1:3].tolist())
 
 
 def gap(p: LatticeParams, kd: float) -> float:
-    """Direct gap ``omega_plus - omega_minus = 2 sqrt(g^2 + delta^2)``."""
-    return 2.0 * float(np.hypot(p.g, reduced_coeffs(p, kd).delta))
+    """Direct gap ``omega_plus - omega_minus = 2 sqrt(g^2 + delta^2)``: :func:`gap_array`'s."""
+    check("kd", kd, FINITE)
+    return float(gap_array(p, kd))
 
 
 def hybrid_basis(p: LatticeParams, kd: float) -> HybridBasis:
@@ -159,13 +172,11 @@ def hybrid_basis(p: LatticeParams, kd: float) -> HybridBasis:
     Raises :class:`DegeneratePointError` when ``g = 0`` and
     ``delta = 0`` simultaneously.
     """
-    rc = reduced_coeffs(p, kd)
-    r, u_A, v_A, u_B, v_B = (float(x) for x in basis_arrays(p.g, rc.delta))
+    check("kd", kd, FINITE)
+    wp, wm, r, *amps = (float(x) for x in _hybrid_arrays(p, float(kd)))
     if r == 0.0:
         raise DegeneratePointError.at(kd)
-    mid = 0.5 * rc.Omega - 0.5 * rc.xi
-    amps = (u_A, v_A, u_B, v_B)
-    return HybridBasis(mid + r, mid - r, *amps, *(a * a for a in amps))
+    return HybridBasis(wp, wm, *amps, *(a * a for a in amps))
 
 
 BAND_SCAN_COLUMNS = (
@@ -184,7 +195,8 @@ def band_scan(p: LatticeParams, n_k: int = 512, *, kd: np.ndarray | None = None)
     """Tabulate bands and weights on an inclusive grid over [-pi, pi].
 
     Returns an ``(n_k, 8)`` array with columns :data:`BAND_SCAN_COLUMNS`
-    in ascending ``kd``.  At an exactly degenerate point the four weight
+    in ascending ``kd``; the gap column is ``2 r``, the bits of
+    :func:`gap_array`.  At an exactly degenerate point the four weight
     columns are NaN (the energies and the zero gap are still recorded).
     Given ``kd``, the rows are those quasimomenta instead of the grid
     (``n_k`` is then unused): each row depends on its own ``kd`` only, so
@@ -195,11 +207,8 @@ def band_scan(p: LatticeParams, n_k: int = 512, *, kd: np.ndarray | None = None)
     else:
         check("n_k", n_k, (2, math.inf))
         kds = np.linspace(-math.pi, math.pi, n_k)
-    Omega, xi, delta = coeff_arrays(p, kds)
-    mid = 0.5 * Omega - 0.5 * xi
-    r, *amps = basis_arrays(p.g, delta)
-    wp, wm = mid + r, mid - r
-    return np.column_stack([kds, wp, wm, wp - wm, *(a * a for a in amps)])
+    wp, wm, r, *amps = _hybrid_arrays(p, kds)
+    return np.column_stack([kds, wp, wm, 2.0 * r, *(a * a for a in amps)])
 
 
 def weight_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:

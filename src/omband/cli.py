@@ -62,6 +62,7 @@ from .bands import (
     DegeneratePointError,
     ZoneRows,
     _zone_bound,
+    _zone_terms,
     band_scan,
     gap_array,
     weight_arrays,
@@ -433,15 +434,12 @@ def _cmd_gap(cfg: RunConfig) -> tuple:
         _finite(gap, "the gap values")
         return np.column_stack((np.full(len(kd), p.theta), kd / math.pi, gap))
 
-    may_refuse = math.isinf(_zone_bound(cfg.lattice))
     return _rows(("theta", "kd_over_pi", "gap"), _zone(cfg), rows_at, len(phases),
-                 may_refuse=may_refuse)
+                 may_refuse=math.isinf(_zone_bound(cfg.lattice)))
 
 
 def _cmd_meanfield(cfg: RunConfig) -> tuple:
-    sol = solve_meanfield(
-        cfg.drive, tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping
-    )
+    sol = solve_meanfield(cfg.drive, tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping)
     row = {
         "alpha_re": sol.alpha.real,
         "alpha_im": sol.alpha.imag,
@@ -526,9 +524,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
     if gap0 > 0:
         d0 = coeff_arrays(p, [kd0])[2]
         T0 = np.array([2.0 / gap0])
-        U64 = _rk4_ramp(d0, T0, ramp, 64)[0]
-        U128 = _rk4_ramp(d0, T0, ramp, 128)[0]
-        U256 = _rk4_ramp(d0, T0, ramp, 256)[0]
+        U64, U128, U256 = (_rk4_ramp(d0, T0, ramp, n)[0] for n in (64, 128, 256))
         num = float(np.max(np.abs(U64 - U128)))
         den = float(np.max(np.abs(U128 - U256)))
         ratio = num / den if den > 0 else math.nan
@@ -541,9 +537,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, int]]:
     lat_dev = float(np.max(np.abs(spec.eigenvalues - ref)))
 
     try:
-        sol = solve_meanfield(
-            cfg.drive, tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping
-        )
+        sol = solve_meanfield(cfg.drive, tol=cfg.tol, max_iter=cfg.max_iter, damping=cfg.damping)
         mf_res = sol.residual
     except MeanFieldConvergenceError:
         mf_res = math.inf
@@ -668,12 +662,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"omband: degenerate point: {exc}", file=sys.stderr)
         return 4
     except OverflowError as exc:  # the ramp time overflows, or the closed forms at it
-        key = "tq_value" if cfg.tq_mode == "fixed" else "tq_scale"
-        if not math.isfinite(cfg.g * cfg.g):
-            key = "g"
-        # a rate whose double overflows makes the gap overflow, and the ramp time 0
-        lattice = ("g", "J", "K", "omega_m", "Delta")
-        key = next((k for k in lattice if math.isinf(2.0 * getattr(cfg, k))), key)
+        terms = _zone_terms(cfg.lattice)
+        if command in ("bands", "gap"):  # a band energy or the gap: its largest rate term
+            key = max(terms, key=terms.get)
+        else:
+            key = "tq_value" if cfg.tq_mode == "fixed" else "tq_scale"
+            key = "g" if math.isinf(cfg.g * cfg.g) else key
+            # a rate whose double overflows makes the gap overflow, and the ramp time 0
+            key = next((k for k in terms if math.isinf(2.0 * getattr(cfg, k))), key)
         print(f"omband: config error: {key}: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, CommensurabilityError, SingularBathError, SingularParameterError) as exc:

@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bands import band_energies
+from .bands import band_scan
+from .bands import band_energies  # noqa: F401 -- rebound by perfbench/tracer.py
 from .model import LatticeParams, check, reduced_coeffs
 from .quench import QuenchSchedule, magnus_propagator
 
@@ -144,12 +145,8 @@ def integrate_interaction_picture(
     check("n_steps", n_steps, (16, math.inf))
     rc = reduced_coeffs(p, kd)
 
-    if g_const is None:
-        def g_of_frac(frac: float) -> float:
-            return s.g0 * (1.0 - 2.0 * frac)
-    else:
-        def g_of_frac(frac: float) -> float:
-            return g_const
+    def g_of_frac(frac: float) -> float:
+        return s.g0 * (1.0 - 2.0 * frac) if g_const is None else g_const
 
     batch_d = np.array([rc.delta])
     batch_T = np.array([s.t_q])
@@ -227,8 +224,4 @@ def finite_lattice_spectrum(p: LatticeParams, N_sites: int, m: int) -> LatticeSp
 
 def bloch_grid_energies(p: LatticeParams, N: int) -> np.ndarray:
     """Sorted multiset of both Bloch bands on the commensurate grid."""
-    vals: list[float] = []
-    for j in range(N):
-        wp, wm = band_energies(p, 2.0 * math.pi * j / N)
-        vals.extend((wp, wm))
-    return np.sort(np.array(vals))
+    return np.sort(band_scan(p, kd=2.0 * math.pi * np.arange(N) / N)[:, 1:3], axis=None)

@@ -17,8 +17,9 @@ Both read the ramp only through ``a = g0 t_q``, ``x = delta t_q`` and
 ``tau = t / t_q``: ``theta = -a Int_0^tau (1 - 2u) e^{2 i x u} du`` and
 ``phi = a^2 h(x, tau)``.  Both are elementary; the closed forms carry
 inverse powers of ``x`` up to ``x^-3`` and lose precision when the
-accumulated phase ``2 x`` is small, so a Taylor branch in ``2 x tau``
-takes over below ``|2 x| = 0.5`` (both branches agree to ~1e-12 there).
+phase ``2 x tau`` that a sample has accumulated is small, so a Taylor
+branch in ``2 x tau`` takes over below ``|2 x tau| = 0.5``, sample by
+sample (both branches agree to ~1e-12 there).
 No power of ``t_q`` is formed, so what can overflow is ``a * a``, past
 ``|a|`` of about 1.34e154, and the phase ``2 x`` itself.
 
@@ -85,7 +86,7 @@ __all__ = [
 
 # Propagators are plain complex 2x2 ndarrays (stacked as (..., 2, 2) arrays).
 
-#: Branch point on |2 delta t_q|: Taylor series below, closed form above.
+#: Branch point on |2 delta t|: Taylor series below, closed form above.
 MAGNUS_SERIES_CROSSOVER = 0.5
 
 _SERIES_TERMS = 26  # |2 delta t| <= 0.5 -> last term < 1e-30 relative
@@ -185,11 +186,9 @@ def thermal_arrays(alpha_A: np.ndarray, bath: BathParams) -> tuple[np.ndarray, .
             f"kappa={bath.kappa}, Gamma={bath.Gamma})"
         )
     modes = ((beta_A, den_A), (alpha_A, den_B))  # phonon weight and decay rate
-    # where Gamma * n_th overflows, take n_th times the heating share of the
-    # decay rate: a ratio of at most 1, so the occupation is at most n_th
-    if math.isinf(bath.Gamma * bath.n_th):
-        return tuple(bath.n_th * (w * bath.Gamma / den) for w, den in modes)
-    return tuple(w * bath.Gamma * bath.n_th / den for w, den in modes)
+    # n_th times the heating share of the decay rate: a ratio of at most 1, so
+    # no occupation exceeds n_th, and Gamma * n_th is never formed
+    return tuple(bath.n_th * (w * bath.Gamma / den) for w, den in modes)
 
 
 def _may_be_singular(bath: BathParams) -> bool:
@@ -274,7 +273,8 @@ def _phi_series(g0: float, d: float, t_q: float, t: float) -> float:
 
 
 def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
-    """``(theta_M, phi_M)`` elementwise: series below the crossover, closed form above.
+    """``(theta_M, phi_M)`` elementwise: series where the phase ``|2 delta t|``
+    the sample has reached is below the crossover, closed form above.
 
     The closed form's three term signs were calibrated once against the
     double-integral quadrature oracle and are frozen by regression test.
@@ -282,7 +282,7 @@ def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
     args = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (g0, delta_half, t_q, t))
     )
-    series = np.abs(2.0 * args[1] * args[2]) < MAGNUS_SERIES_CROSSOVER
+    series = np.abs(2.0 * args[1] * args[3]) < MAGNUS_SERIES_CROSSOVER
     theta = np.empty(series.shape, dtype=complex)
     phi = np.empty(series.shape)
     for mask, theta_f, phi_f in (

@@ -322,6 +322,25 @@ def test_gap_minimum_for_flat_set(capsys):
     assert min(gaps) == pytest.approx(0.172, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "flags", [(), tuple(FLAT_FLAGS), ("--omega_m", "1e6", "--Delta", "-1e6")],
+    ids=["wide", "narrow", "far_detuned"],
+)
+@pytest.mark.parametrize("theta", ["0", "0.8pi"])
+def test_bands_prints_the_gap_commands_gap(flags, theta, capsys):
+    # one formula, 2 hypot(g, delta), not omega_plus - omega_minus, which cancels
+    _, bands_out, _ = run_cli(capsys, "bands", *flags, "--theta", theta)
+    _, gap_out, _ = run_cli(capsys, "gap", *flags, "--theta_list", theta)
+    assert [row[3] for row in rows_of(bands_out)[1]] == [row[2] for row in rows_of(gap_out)[1]]
+
+
+def test_thermal_occupations_never_exceed_n_th(capsys):
+    # at kappa = 0 a mode decays only where it is heated: it holds n_th exactly
+    code, out, _ = run_cli(capsys, "thermal", "--kappa", "0", "--n_k", "64")
+    assert code == 0
+    assert {cell for row in rows_of(out)[1] for cell in row[2:]} == {"100"}
+
+
 def test_meanfield_row_matches_library(capsys):
     code, out, _ = run_cli(capsys, "meanfield")
     assert code == 0
@@ -468,7 +487,13 @@ BAND_OVERFLOWS = [
 ]
 
 
-@pytest.mark.parametrize("argv, key", BAND_OVERFLOWS)
+# no rate's double overflows here; the key is the largest rate term of the bands
+LARGEST_RATE = ("--omega_m", "8e307", "--Delta", "8e307", "--J", "8e307", "--n_k", "4")
+
+
+@pytest.mark.parametrize(
+    "argv, key", [*BAND_OVERFLOWS, (("bands", *LARGEST_RATE), "J"), (("gap", *LARGEST_RATE), "J")]
+)
 def test_overflowing_band_energies_exit_2_before_output(argv, key, capsys, tmp_path):
     target = tmp_path / "table.csv"
     with warnings.catch_warnings():

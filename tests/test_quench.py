@@ -81,7 +81,7 @@ def quad_theta(g0, d, t_q, t):
     return -(re + 1j * im)
 
 
-def quad_phi(g0, d, t_q, t):
+def quad_phi(g0, d, t_q, t, epsabs=1e-13, epsrel=1e-11):
     """Ordered double integral of g(t1) g(t2) sin(2 d (t1 - t2))."""
     g = _ramp(g0, t_q)
     val = integrate.dblquad(
@@ -90,8 +90,8 @@ def quad_phi(g0, d, t_q, t):
         t,
         0.0,
         lambda t1: t1,
-        epsabs=1e-13,
-        epsrel=1e-11,
+        epsabs=epsabs,
+        epsrel=epsrel,
     )[0]
     return val
 
@@ -150,6 +150,14 @@ def test_small_phase_branch_matches_quadrature():
         t = 0.6 * t_q
         assert abs(magnus_theta(0.1, d, t_q, t) - quad_theta(0.1, d, t_q, t)) < 1e-12
         assert abs(magnus_phi(0.1, d, t_q, t) - quad_phi(0.1, d, t_q, t)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.001, 0.01, 0.1])
+def test_each_sample_takes_the_branch_of_its_own_phase(t):
+    # |2 d t_q| = 0.5 is at the crossover, but the phase |2 d t| reached by
+    # these samples is far below it, where the closed form loses digits
+    want = quad_phi(0.1, 0.25, 1.0, t, epsabs=0.0, epsrel=1.2e-14)
+    assert magnus_phi(0.1, 0.25, 1.0, t) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_branches_agree_at_the_crossover():

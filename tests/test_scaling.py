@@ -1,11 +1,13 @@
-"""Exact power-of-two scaling in the closed-form kernels.
+"""Scale-safe closed-form kernels, pinned bit for bit to reference formulas.
 
 ``basis_arrays`` scales ``(g, delta)`` by a power of two only where
-``g * g`` could overflow, ``thermal_arrays`` divides before it multiplies
-only where ``Gamma * n_th`` overflows, and ``coeff_arrays`` halves before
-it adds.  Ordinary inputs keep the bits of the formulas the kernels used
-before: ``_reference_basis`` and ``_reference_thermal`` are those formulas,
-kept here as the reference.
+``g * g`` could overflow, and ``coeff_arrays`` halves before it adds.
+Ordinary inputs keep the bits of the formula the basis kernel used
+before, kept here as ``_reference_basis``.  ``thermal_arrays`` has one
+formula, ``n_th * (w * Gamma / den)``: it divides before it multiplies
+everywhere, so the ratio is at most 1, no occupation exceeds ``n_th`` and
+``Gamma * n_th`` is never formed.  ``_reference_thermal`` states that
+formula, and the tests pin its bits.
 """
 
 import math
@@ -49,7 +51,8 @@ def _reference_basis(g, delta):
 
 
 def _reference_thermal(alpha_A, kappa, Gamma, n_th):
-    """The occupations by the unscaled formula; None where a decay rate is 0."""
+    """The occupations as n_th times each mode's heating share of its decay
+    rate, divided first; None where a decay rate is 0."""
     alpha_A = np.asarray(alpha_A, dtype=float)
     beta_A = 1.0 - alpha_A
     with np.errstate(all="ignore"):
@@ -57,7 +60,7 @@ def _reference_thermal(alpha_A, kappa, Gamma, n_th):
         den_B = beta_A * kappa + alpha_A * Gamma
         if ((den_A == 0.0) | (den_B == 0.0)).any():
             return None
-        return beta_A * Gamma * n_th / den_A, alpha_A * Gamma * n_th / den_B
+        return n_th * (beta_A * Gamma / den_A), n_th * (alpha_A * Gamma / den_B)
 
 
 def _signed_log_grid(least, most, n):
@@ -119,6 +122,7 @@ def test_thermal_keeps_the_unscaled_bits_up_to_1e100(n_th):
             want = _reference_thermal(ALPHAS, kappa, Gamma, n_th)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
+                assert (a <= n_th).all()
 
 
 RATES = [0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e300, BIG]
@@ -136,13 +140,10 @@ def test_thermal_is_finite_and_singular_exactly_where_the_unscaled_formula_is(n_
                 with pytest.raises(SingularBathError):
                     thermal_arrays(ALPHAS, bath)
                 continue
-            got = thermal_arrays(ALPHAS, bath)
-            if all(np.isfinite(w).all() for w in want):
-                assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            else:  # Gamma * n_th overflows in the unscaled formula
-                for occupation in got:
-                    assert np.isfinite(occupation).all()
-                    assert ((occupation >= 0.0) & (occupation <= n_th)).all()
+            for occupation, reference in zip(thermal_arrays(ALPHAS, bath), want):
+                assert np.array_equal(occupation, reference)
+                assert np.isfinite(occupation).all()
+                assert ((occupation >= 0.0) & (occupation <= n_th)).all()
 
 
 def test_thermal_at_the_largest_rate_matches_the_scaled_rates():
