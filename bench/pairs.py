@@ -16,8 +16,9 @@ interpreter in the side's checkout:
   JUnit XML report (setup, call and teardown) and their ratio
   (``test_05_share``) it records, with the tests run and failed;
 * ``layers``: ``python -m pytest bench`` (``bench/test_layers.py``), whose
-  median per benchmark it records, with each benchmark's ``peak_bytes``
-  and ``importtime_self_us`` entries, and the benchmarks run and failed.
+  median and minimum (``<name>/min``) per benchmark it records, with each
+  benchmark's ``peak_bytes`` and ``importtime_self_us`` entries, and the
+  benchmarks run and failed.
 
 The side that goes first flips from pair to pair (parent first in the
 first pair), so that host drift falls on both sides alike.
@@ -97,12 +98,14 @@ def run_tier1(checkout: str, _program: str, _args: argparse.Namespace) -> tuple[
 
 
 def layer_metrics(data: dict) -> dict:
-    """Each benchmark's median, ``peak_bytes`` and import self times in a
-    pytest-benchmark JSON record, as perfbench-style metrics."""
+    """Each benchmark's median, minimum (``<name>/min``), ``peak_bytes`` and
+    import self times in a pytest-benchmark JSON record, as perfbench-style
+    metrics."""
     metrics = {}
     for b in data["benchmarks"]:
         info = b["extra_info"]
         metrics[b["name"]] = {"value": b["stats"]["median"], "unit": "s"}
+        metrics[f"{b['name']}/min"] = {"value": b["stats"]["min"], "unit": "s"}
         if "peak_bytes" in info:
             metrics[f"{b['name']}/peak_bytes"] = {"value": info["peak_bytes"], "unit": "B"}
         for module, us in info.get("importtime_self_us", {}).items():

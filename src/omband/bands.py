@@ -94,8 +94,9 @@ class GapExtremum:
 
 
 def gap_array(p: LatticeParams, kd: np.ndarray) -> np.ndarray:
-    """Direct gap ``2 sqrt(g^2 + delta^2)`` elementwise over ``kd``."""
-    return 2.0 * np.hypot(p.g, coeff_arrays(p, kd)[2])
+    """Direct gap ``2 sqrt(g^2 + delta^2)`` elementwise over ``kd``, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return 2.0 * np.hypot(p.g, coeff_arrays(p, kd)[2])
 
 
 def basis_arrays(g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -260,9 +261,7 @@ def _fold_half_open(kd: float) -> float:
     return r + 0.0  # -0.0 -> 0.0
 
 
-def gap_extrema(
-    p: LatticeParams, n_k_coarse: int = 1024, refine_tol: float = 1e-6
-) -> list[GapExtremum]:
+def gap_extrema(p: LatticeParams) -> list[GapExtremum]:
     """All local extrema of the gap over one Brillouin zone, in closed form.
 
     With ``delta(kd) = c0 + A cos(kd + phi)``, ``A e^{i phi} = J e^{i theta} - K``
@@ -272,10 +271,8 @@ def gap_extrema(
     sit at the zeros ``kd = +-arccos(-c0/A) - phi``; otherwise the extremum
     of ``delta`` nearer to zero is the one minimum.  A flat profile yields
     the single record described in :class:`GapExtremum`.  Records are
-    sorted by ``kd``, folded into [-pi, pi).  ``n_k_coarse`` (at least 64)
-    and ``refine_tol`` are not used.
+    sorted by ``kd``, folded into [-pi, pi).
     """
-    check("n_k_coarse", n_k_coarse, (64, math.inf))
     c0 = 0.5 * (p.omega_m + p.Delta)
     A, phi = cmath.polar(cmath.rect(p.J, p.theta) - p.K)
     top = 2.0 * math.hypot(p.g, abs(c0) + A)

@@ -119,42 +119,24 @@ class ConfigError(ValueError):
     """Bad key, bad value, or bad combination; maps to exit code 2."""
 
 
-def _parse_pi_float(key: str, s: str) -> float:
-    txt = s.strip()
-    try:
-        if txt.lower().endswith("pi"):
-            head = txt[:-2].strip()
-            if head in ("", "+"):
-                coef = 1.0
-            elif head == "-":
-                coef = -1.0
-            else:
-                coef = float(head)
-            return coef * math.pi
-        return float(txt)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {s!r} as a number") from None
-
-
 def _parse_value(key: str, kind: str, s: str) -> object:
     txt = s.strip()
-    if kind == "float":
-        try:
-            return float(txt)
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {s!r} as a number") from None
-    if kind == "Angle":
-        return _parse_pi_float(key, txt)
     if kind == "Angles":
         parts = [q for q in (q.strip() for q in txt.split(",")) if q]
         if not parts:
             raise ConfigError(f"{key}: empty list")
-        return tuple(_parse_pi_float(key, q) for q in parts)
-    if kind == "int":
+        return tuple(_parse_value(key, "Angle", q) for q in parts)
+    if kind in ("float", "Angle", "int"):
+        unit, num = 1.0, txt
+        if kind == "Angle" and txt.lower().endswith("pi"):
+            head = txt[:-2].strip()
+            unit, num = math.pi, {"": "1", "+": "1", "-": "-1"}.get(head, head)
         try:
-            return int(txt, 10)
+            return int(num, 10) if kind == "int" else float(num) * unit
         except ValueError:
-            raise ConfigError(f"{key}: cannot parse {s!r} as an integer") from None
+            what = "an integer" if kind == "int" else "a number"
+            shown = txt if kind == "Angle" else s  # an angle's message quotes it stripped
+            raise ConfigError(f"{key}: cannot parse {shown!r} as {what}") from None
     if kind == "bool":
         low = txt.lower()
         if low in ("true", "1", "yes", "on"):
@@ -429,8 +411,7 @@ def _cmd_gap(cfg: RunConfig) -> tuple:
 
     def rows_at(phase: int, kd: np.ndarray) -> np.ndarray:
         p = phases[phase]
-        with np.errstate(over="ignore"):
-            gap = gap_array(p, kd)
+        gap = gap_array(p, kd)
         _finite(gap, "the gap values")
         return np.column_stack((np.full(len(kd), p.theta), kd / math.pi, gap))
 

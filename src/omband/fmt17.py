@@ -37,7 +37,7 @@ from json import dumps
 
 import numpy as np
 
-__all__ = ["csv_cell", "iter_row_blocks", "pass_rows", "row_blocks", "table_pieces"]
+__all__ = ["csv_cell", "iter_row_blocks", "pass_rows", "table_pieces"]
 
 # A slot: 0 opening separator, 1 sign, 2-6 "0.000" prefix, 7-40 the 17
 # digits, each followed by a point slot, 41-44 "e-05", 45-46 closing
@@ -201,11 +201,6 @@ def iter_row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> Iterator[str
     for first in range(0, n, block_rows):
         block = np.asarray(rows[first : first + block_rows], dtype=np.float64)
         yield _text(block, json, last=first + len(block) == n)
-
-
-def row_blocks(rows: np.ndarray, block_rows: int, fmt: str) -> list[str]:
-    """:func:`iter_row_blocks` as a list."""
-    return list(iter_row_blocks(rows, block_rows, fmt))
 
 
 def csv_cell(value: object) -> str:

@@ -123,6 +123,10 @@ def solve_meanfield(
         b = drive.G * intensity(a) / den_b
         return a, b
 
+    def residual(alpha: complex, beta: complex) -> float:
+        a, b = rhs(alpha, beta)
+        return abs(alpha - a) + abs(beta - b)
+
     alpha = drive.Omega_d / den_a0
     beta = drive.G * intensity(alpha) / den_b
     step = math.inf
@@ -133,19 +137,16 @@ def solve_meanfield(
         step = abs(a_next - alpha) + abs(b_next - beta)
         alpha, beta = a_next, b_next
         if step <= tol:
-            a_chk, b_chk = rhs(alpha, beta)
-            residual = abs(alpha - a_chk) + abs(beta - b_chk)
             return MeanFieldSolution(
                 alpha=alpha,
                 beta=beta,
                 g_enhanced=drive.G * abs(alpha),
                 iterations=it,
-                residual=residual,
+                residual=residual(alpha, beta),
             )
-    a_chk, b_chk = rhs(alpha, beta)
     raise MeanFieldConvergenceError(
         f"no fixed point within {max_iter} iterations (last step {step:.3e})",
         alpha=alpha,
         beta=beta,
-        residual=abs(alpha - a_chk) + abs(beta - b_chk),
+        residual=residual(alpha, beta),
     )

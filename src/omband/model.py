@@ -135,9 +135,12 @@ class ReducedCoeffs:
 def coeff_arrays(p: LatticeParams, kd: np.ndarray) -> tuple[np.ndarray, ...]:
     """Omega, xi and delta elementwise over an array of quasimomenta ``kd``."""
     kd = np.asarray(kd, dtype=float)
-    Omega = p.omega_m - 2.0 * p.K * np.cos(kd)
-    xi = p.Delta + 2.0 * p.J * np.cos(kd + p.theta)
-    return Omega, xi, 0.5 * Omega + 0.5 * xi  # halved first: Omega + xi may overflow
+    # halves first, so that delta stays finite where 2K, 2J, Omega or xi overflow;
+    # doubling is exact, so Omega and xi keep their bits wherever they are finite
+    with np.errstate(over="ignore"):
+        half_Omega = 0.5 * p.omega_m - p.K * np.cos(kd)
+        half_xi = 0.5 * p.Delta + p.J * np.cos(kd + p.theta)
+        return 2.0 * half_Omega, 2.0 * half_xi, half_Omega + half_xi
 
 
 def reduced_coeffs(p: LatticeParams, kd: float) -> ReducedCoeffs:

@@ -21,7 +21,10 @@ phase ``2 x tau`` that a sample has accumulated is small, so a Taylor
 branch in ``2 x tau`` takes over below ``|2 x tau| = 0.5``, sample by
 sample (both branches agree to ~1e-12 there).
 No power of ``t_q`` is formed, so what can overflow is ``a * a``, past
-``|a|`` of about 1.34e154, and the phase ``2 x`` itself.
+``|a|`` of about 1.34e154, and the phase ``2 x`` itself.  One function,
+``_magnus_arrays``, evaluates both integrals for every caller, scalar or
+array, and where a term passes the float range it returns a non-finite
+value without a RuntimeWarning; the callers decide whether to refuse it.
 
 Mapping back out of the interaction picture and into the instantaneous
 hybrid basis, ``M = R(g(t)) S(t) R(g0)^T`` propagates mode amplitudes.
@@ -275,6 +278,8 @@ def _phi_series(g0: float, d: float, t_q: float, t: float) -> float:
 def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
     """``(theta_M, phi_M)`` elementwise: series where the phase ``|2 delta t|``
     the sample has reached is below the crossover, closed form above.
+    Where a term passes the float range the result is non-finite, without
+    a RuntimeWarning.
 
     The closed form's three term signs were calibrated once against the
     double-integral quadrature oracle and are frozen by regression test.
@@ -282,16 +287,17 @@ def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
     args = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (g0, delta_half, t_q, t))
     )
-    series = np.abs(2.0 * args[1] * args[3]) < MAGNUS_SERIES_CROSSOVER
-    theta = np.empty(series.shape, dtype=complex)
-    phi = np.empty(series.shape)
-    for mask, theta_f, phi_f in (
-        (series, _theta_series, _phi_series),
-        (~series, _theta_closed, _phi_closed),
-    ):
-        part = [a[mask] for a in args]
-        theta[mask] = theta_f(*part)
-        phi[mask] = phi_f(*part)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = np.abs(2.0 * args[1] * args[3]) < MAGNUS_SERIES_CROSSOVER
+        theta = np.empty(series.shape, dtype=complex)
+        phi = np.empty(series.shape)
+        for mask, theta_f, phi_f in (
+            (series, _theta_series, _phi_series),
+            (~series, _theta_closed, _phi_closed),
+        ):
+            part = [a[mask] for a in args]
+            theta[mask] = theta_f(*part)
+            phi[mask] = phi_f(*part)
     return theta, phi
 
 
@@ -317,21 +323,20 @@ def propagator_array(g0, delta_half, t_q, t) -> np.ndarray:
 
 def magnus_theta(g0: float, delta_half: float, t_q: float, t: float) -> complex:
     """First-order Magnus integral ``-Int_0^t g(t') e^{2 i delta t'} dt'``."""
-    _check_ramp_args(g0, delta_half, t_q, t)
-    return complex(_magnus_arrays(g0, delta_half, t_q, t)[0])
+    return magnus_terms(g0, delta_half, t_q, t).theta_M
 
 
 def magnus_phi(g0: float, delta_half: float, t_q: float, t: float) -> float:
     """Second-order Magnus integral (the ordered double integral above)."""
-    _check_ramp_args(g0, delta_half, t_q, t)
-    return float(_magnus_arrays(g0, delta_half, t_q, t)[1])
+    return magnus_terms(g0, delta_half, t_q, t).phi_M
 
 
 def magnus_terms(g0: float, delta_half: float, t_q: float, t: float) -> MagnusTerms:
     """Evaluate theta, phi, eta and the polynomial phi grouping in one call."""
     _check_ramp_args(g0, delta_half, t_q, t)
     theta, phi = (x.item() for x in _magnus_arrays(g0, delta_half, t_q, t))
-    zeta = float(0.5 * t * t - 2.0 * t**3 / (3.0 * t_q))
+    t, tau = float(t), float(t) / float(t_q)
+    zeta = t * t * (0.5 - 2.0 * tau / 3.0)  # t_q^2 (tau^2/2 - 2 tau^3/3), 0 at t = 0
     eta = math.hypot(abs(theta), phi)
     return MagnusTerms(theta_M=theta, phi_M=phi, eta=eta, zeta_M=zeta)
 

@@ -172,7 +172,7 @@ def _expected_minima(p):
 @pytest.mark.parametrize("theta", [0.0, 0.25 * math.pi, 0.5 * math.pi, 0.8 * math.pi])
 def test_gap_extrema_locations_and_values(theta):
     p = LatticeParams(theta=theta)
-    ext = gap_extrema(p, n_k_coarse=2048, refine_tol=1e-9)
+    ext = gap_extrema(p)
     minima = [e for e in ext if e.kind == "minimum"]
     maxima = [e for e in ext if e.kind == "maximum"]
     assert len(minima) == 2 and len(maxima) == 2
@@ -193,11 +193,6 @@ def test_gap_extrema_flat_profile():
     assert ext[0].kind is None
     assert math.isnan(ext[0].kd)
     assert ext[0].value == pytest.approx(0.5, abs=1e-14)
-
-
-def test_gap_extrema_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        gap_extrema(LatticeParams(), n_k_coarse=32)
 
 
 def _circ_dist(a, b):

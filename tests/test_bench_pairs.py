@@ -95,15 +95,17 @@ def test_one_pair_gives_a_record():
 
 def test_layer_metrics_keep_medians_peaks_and_import_self_times():
     data = {"benchmarks": [
-        {"name": "test_zone_table[bands-512]", "stats": {"median": 0.5},
+        {"name": "test_zone_table[bands-512]", "stats": {"median": 0.5, "min": 0.375},
          "extra_info": {"cpu_count": 2, "python": "3", "numpy": "2", "peak_bytes": 4096}},
-        {"name": "test_import", "stats": {"median": 0.25},
+        {"name": "test_import", "stats": {"median": 0.25, "min": 0.125},
          "extra_info": {"cpu_count": 2, "importtime_self_us": {"omband.cli": 900}}},
     ]}
     assert pairs.layer_metrics(data) == {
         "test_zone_table[bands-512]": {"value": 0.5, "unit": "s"},
+        "test_zone_table[bands-512]/min": {"value": 0.375, "unit": "s"},
         "test_zone_table[bands-512]/peak_bytes": {"value": 4096, "unit": "B"},
         "test_import": {"value": 0.25, "unit": "s"},
+        "test_import/min": {"value": 0.125, "unit": "s"},
         "test_import/omband.cli": {"value": 900, "unit": "us"},
     }
 

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import omband
-from omband import DriveParams, LatticeParams, hybrid_basis, solve_meanfield
+from omband import DriveParams, LatticeParams, cli, hybrid_basis, solve_meanfield
 from omband.bands import BAND_SCAN_COLUMNS, band_scan
-from omband.cli import _RUNNERS, ConfigError, main, parse_config
+from omband.cli import _RUNNERS, ConfigError, main, parse_config, run_command
 from omband.quench import BathParams, thermal_populations
 
 # the narrow-band parameter set, spelled as flags
@@ -92,6 +92,36 @@ def test_gamma_m_alias():
 def test_bad_values_raise_config_error(flags):
     with pytest.raises(ConfigError):
         parse_config(flags=flags)
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("theta", " 2xpi ", "theta: cannot parse '2xpi' as a number"),  # an angle, stripped
+        ("J", " x ", "J: cannot parse ' x ' as a number"),
+        ("max_iter", "1.5", "max_iter: cannot parse '1.5' as an integer"),
+        ("theta_list", "0, bad", "theta_list: cannot parse 'bad' as a number"),
+        ("theta_list", ",", "theta_list: empty list"),
+    ],
+)
+def test_unparsable_value_message(key, text, message):
+    with pytest.raises(ConfigError) as refused:
+        parse_config(flags={key: text})
+    assert str(refused.value) == message
+
+
+def test_config_line_without_equals_is_named_by_its_number():
+    # blank lines and comments, even one assigning an unknown key, are skipped
+    text = "theta = 0\n\n# a comment\n# note = x\nJ 0.3\n"
+    with pytest.raises(ConfigError) as refused:
+        parse_config(text)
+    assert str(refused.value) == "config:5: expected 'key = value', got 'J 0.3'"
+
+
+def test_unknown_command_is_a_config_error():
+    with pytest.raises(ConfigError) as refused:
+        run_command(parse_config(), "nope")
+    assert str(refused.value) == "unknown command 'nope'"
 
 
 def test_unknown_key_in_file_exits_2(tmp_path, capsys):
@@ -397,6 +427,22 @@ def test_verify_passes(capsys):
     assert all(r[3] == "1" for r in body)
 
 
+@pytest.mark.parametrize("theta, batch", [("0", 256), ("0.5pi", 320)])
+def test_verify_adds_a_theta_off_its_list_to_the_rk4_batch(theta, batch, capsys, monkeypatch):
+    # four listed phases of 64 kd each, and the configured one unless listed
+    sizes = []
+    rk4 = cli._rk4_ramp
+
+    def counting(delta, *args):
+        sizes.append(len(delta))
+        return rk4(delta, *args)
+
+    monkeypatch.setattr(cli, "_rk4_ramp", counting)
+    code, out, _ = run_cli(capsys, "verify", "--theta", theta, "--rk4_steps", "16")
+    assert code == 0 and sizes[0] == batch
+    assert all(r[3] == "1" for r in rows_of(out)[1])
+
+
 def test_out_writes_file_and_bad_paths_exit_5(tmp_path, capsys):
     target = tmp_path / "bands.csv"
     code, out, _ = run_cli(capsys, "bands", "--n_k", "5", "--out", str(target))
@@ -460,8 +506,9 @@ def test_overflowing_coupling_exits_2_naming_g(command, capsys):
 @pytest.mark.parametrize(
     "argv, key",
     [
-        (("quench-trace", "--n_t", "5", "--K", "1e308"), "K"),
-        (("quench-trace", "--n_t", "5", "--J", "1.7976931348623157e308"), "J"),
+        (("quench-trace", "--n_t", "5", "--K", "1e308", "--kd_over_pi", "0"), "K"),
+        (("quench-trace", "--n_t", "5", "--J", "1.7976931348623157e308", "--kd_over_pi", "0"),
+         "J"),
         (("quench-trace", "--n_t", "5", "--g", "1.7976931348623157e308"), "g"),
         (("quench-scan", "--n_k", "5", "--J", "1.7976931348623157e308"), "J"),
         (("quench-scan", "--n_k", "5", "--omega_m", "1e308", "--Delta", "1e308"), "omega_m"),
@@ -512,7 +559,12 @@ def test_weight_tables_print_where_band_energies_overflow(command, argv, capsys)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, command, *argv[1:])
-    assert code == 0 and err == "" and len(rows_of(out)[1]) == 4
+    assert code == 0 and err == ""
+    _, body = rows_of(out)
+    values = np.array(body, dtype=float)
+    assert len(body) == 4 and np.isfinite(values).all()
+    if command == "weights":  # kd_over_pi, alpha_A, beta_A, alpha_B, beta_B
+        np.testing.assert_allclose(values[:, [2, 4]], 1.0 - values[:, [1, 3]], atol=1e-15)
 
 
 GAMMA_MAX = ("--Gamma", "1.7976931348623157e308")
@@ -589,6 +641,7 @@ def test_tiny_kappa_against_huge_gamma_keeps_its_table(capsys):
         ("quench-scan", "--g", "1e-300", "--n_k", "9", "--tq_mode", "global-min"),
         ("quench-trace", "--g", "1e-200", "--tq_mode", "global-min"),
         ("quench-trace", "--J", "1e300"),  # delta = 6e298, t_q = 8e-304
+        ("quench-trace", "--n_t", "5", "--K", "1e308"),  # 2K overflows, delta does not
     ],
 )
 def test_ramp_at_extreme_scales_exits_0(argv, capsys):
@@ -850,6 +903,15 @@ def test_verify_true_passing_changes_only_the_verify_line(flags, capsys):
     diff = [(a, b) for a, b in zip(checked.splitlines(), plain.splitlines()) if a != b]
     assert checked.count("\n") == plain.count("\n")
     assert diff == [("# verify = true", "# verify = false")]
+
+
+def test_verify_writes_null_for_the_ramp_checks_it_cannot_run(capsys):
+    argv = ("verify", "--g", "0", "--J", "0", "--K", "0", "--format", "json", "--rk4_steps", "16")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    rows = {r[0]: r[1:] for r in json.loads(out)["rows"]}
+    assert rows["magnus_vs_rk4"] == [None, 1e-6, 0]
+    assert rows["rk4_order_ratio"] == [None, 16, 0]
 
 
 def test_degenerate_fixed_ramp_trace_exits_4(capsys):

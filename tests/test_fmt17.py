@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from omband import fmt17
-from omband.fmt17 import row_blocks
+from omband.fmt17 import iter_row_blocks
 
 
 def _reference(values: np.ndarray) -> str:
@@ -26,7 +26,7 @@ def _assert_matches(values, both_signs: bool = True) -> None:
     x = np.asarray(values, dtype=np.float64).ravel()
     if both_signs:
         x = np.concatenate((x, -x))
-    got = "".join(row_blocks(x.reshape(-1, 1), 4096, "csv"))
+    got = "".join(iter_row_blocks(x.reshape(-1, 1), 4096, "csv"))
     want = _reference(x)
     if got != want:
         bad = next(i for i, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))) if g != w)
@@ -97,14 +97,14 @@ def test_zero_and_subnormals():
     rng = np.random.default_rng(3)
     subnormals = rng.integers(1, 2**52, 1000).astype(np.uint64).view(np.float64)
     _assert_matches([0.0, tiny, 2 * tiny, normal, np.nextafter(normal, 0), *subnormals])
-    assert "".join(row_blocks(np.array([[0.0, -0.0]]), 4096, "csv")) == "0,-0\n"
+    assert "".join(iter_row_blocks(np.array([[0.0, -0.0]]), 4096, "csv")) == "0,-0\n"
 
 
 def test_non_finite_cells():
     rows = np.array([[np.inf, 1.5, -np.inf], [np.nan, -0.0, 1e300], [2.0, np.nan, -1e-300]])
-    csv_text = "".join(row_blocks(rows, 2, "csv"))
+    csv_text = "".join(iter_row_blocks(rows, 2, "csv"))
     assert csv_text == "inf,1.5,-inf\nnan,-0,1.0000000000000001e+300\n2,nan,-1e-300\n"
-    json_text = "".join(row_blocks(rows, 2, "json"))
+    json_text = "".join(iter_row_blocks(rows, 2, "json"))
     assert json_text == "[null,1.5,null],[null,-0,1.0000000000000001e+300],[2,null,-1e-300]"
     assert json.loads(f"[{json_text}]")[1] == [None, -0.0, 1e300]
 
@@ -145,7 +145,7 @@ def test_exponent_one_off_is_corrected(monkeypatch):
 def test_blocks_concatenate_to_the_table(block_rows):
     rows = np.arange(21.0).reshape(7, 3) - 10.5
     for fmt, start, end in (("csv", "", ""), ("json", "[", "]")):
-        blocks = row_blocks(rows, block_rows, fmt)
+        blocks = list(iter_row_blocks(rows, block_rows, fmt))
         assert len(blocks) == math.ceil(7 / block_rows)
         body = "".join(blocks)
         if fmt == "csv":

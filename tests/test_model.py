@@ -17,7 +17,6 @@ from omband import (
     bloch_hamiltonian,
     coupling_schedule,
     finite_lattice_spectrum,
-    gap_extrema,
     integrate_interaction_picture,
     magnus_theta,
     reduced_coeffs,
@@ -166,7 +165,6 @@ RANGE_SITES = {
     "integrate_interaction_picture.n_steps": (
         "n_steps", lambda v: integrate_interaction_picture(_P, 0.3, _RAMP, v), 15,
     ),
-    "gap_extrema.n_k_coarse": ("n_k_coarse", lambda v: gap_extrema(_P, n_k_coarse=v), 63),
 }
 
 

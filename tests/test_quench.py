@@ -6,6 +6,7 @@ invariants (unitarity, conservation, n_th scaling).
 """
 
 import math
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from omband import (
     DEFAULT_BATH,
     MAGNUS_SERIES_CROSSOVER,
     BathParams,
+    DegeneratePointError,
     LatticeParams,
     QuenchRecord,
     QuenchSchedule,
@@ -185,12 +187,29 @@ def test_zero_detuning_integrals_are_polynomial():
     assert magnus_theta(g0, 0.0, t_q, t_q) == pytest.approx(0.0, abs=1e-16)
 
 
+@pytest.mark.parametrize("args", [
+    (1e-300, 0.1, 1e200, 1e200),  # x = delta t_q: x**3, and zeta's t * t
+    (0.1, 0.1, 1e200, 1e200),  # and a = g0 t_q squared
+    (0.1, 1e300, 1.0, 1.0),  # x**3
+    (1e160, 0.1, 1.0, 1.0),  # a * a
+    (0.1, 0.1, 1e103, 1e103),  # t**3, once formed for zeta
+])
+def test_scalar_magnus_functions_share_the_arrays_policy(args):
+    # non-finite terms come back as values, as from propagator_array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = magnus_terms(*args)
+        assert (magnus_theta(*args), magnus_phi(*args)) == (terms.theta_M, terms.phi_M)
+        assert np.isfinite(magnus_propagator(*args)).all() == math.isfinite(terms.eta)
+
+
 def test_magnus_terms_bundle():
     mt = magnus_terms(0.1, 0.7, 3.0, 2.0)
     assert mt.theta_M == magnus_theta(0.1, 0.7, 3.0, 2.0)
     assert mt.phi_M == magnus_phi(0.1, 0.7, 3.0, 2.0)
     assert mt.eta == pytest.approx(math.hypot(abs(mt.theta_M), mt.phi_M), rel=1e-15)
     assert mt.zeta_M == pytest.approx(2.0 - 16.0 / 9.0, rel=1e-14)
+    assert magnus_terms(0.1, 0.1, 1e200, 0.0).zeta_M == 0.0  # though t_q^2 overflows
 
 
 def exact_end_theta(g0, d, t_q):
@@ -271,6 +290,12 @@ def test_quench_map_identity_at_start(hopping_dominated):
     s = QuenchSchedule(g0=0.1, t_q=0.01)
     M = quench_map(hopping_dominated, 0.3, s, 0.0)
     np.testing.assert_allclose(M, np.eye(2), atol=1e-12)
+
+
+def test_quench_map_refuses_a_degenerate_sample():
+    # delta = 0 at every kd for J = K on the default set, and g(t_q / 2) = 0
+    with pytest.raises(DegeneratePointError, match=r"kd=0\.3 "):
+        quench_map(LatticeParams(J=0.2, K=0.2), 0.3, QuenchSchedule(0.1, 1.0), 0.5)
 
 
 def test_quench_map_sudden_limit(hopping_dominated):
