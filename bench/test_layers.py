@@ -10,7 +10,10 @@ each size's tracemalloc peak in ``extra_info["peak_bytes"]`` (taken on one
 untimed call).  For a zone table ``emit`` includes its computation too.
 At the same sizes, on a default ``quench-scan``'s inputs, the layers are
 the hybrid basis (``basis_arrays``), the Magnus integrals alone
-(``_magnus_arrays``), the 2x2 propagators (``propagator_array``), the
+(``_magnus_arrays``, where the per-k ramp times keep |2 delta t_q| <= 1e-4
+and so time the series branch alone; it is also timed on the inputs of
+a default ``quench-scan --tq_mode fixed --tq_value 1``, where 37% of the
+zone takes the closed form), the 2x2 propagators (``propagator_array``), the
 thermal occupations and their propagation (``thermal_arrays`` and
 ``_populations``) and the whole ``quench-scan`` table build; the
 ``quench-trace`` table build is timed at n_t = 4096.  The quench tables
@@ -114,6 +117,13 @@ def test_basis_arrays(bench, n_k):
 @pytest.mark.parametrize("n_k", SIZES)
 def test_magnus_arrays(bench, n_k):
     g, delta, t_q = scan_inputs(n_k)
+    bench(_magnus_arrays, g, delta, t_q, t_q)
+
+
+@pytest.mark.parametrize("n_k", SIZES)
+def test_magnus_arrays_fixed(bench, n_k):
+    g, delta, _ = scan_inputs(n_k)
+    t_q = np.full(n_k, 1.0)
     bench(_magnus_arrays, g, delta, t_q, t_q)
 
 

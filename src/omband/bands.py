@@ -107,16 +107,20 @@ def basis_arrays(g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
     equivalent forms of ``delta +- r`` is addition of same-sign
     quantities, so the weights stay accurate down to ``alpha ~ eps``
     instead of losing half the digits near the band edges.  Where
-    ``max(|g|, |delta|) >= 2**511`` both are first scaled by the same exact
-    power of two, so one formula covers every finite pair.  ``g = 0`` is
-    the exact decoupled limit; where also ``delta = 0`` (degenerate
-    bands) the amplitudes are NaN.
+    ``max(|g|, |delta|)`` lies outside ``[2**-511, 2**511)`` both are first
+    scaled by the same exact power of two, so one formula covers every
+    finite pair; an infinite ``delta`` is first clipped to the largest
+    float, where the weights already sit at their exact 0/1 limits.
+    ``g = 0`` is the exact decoupled limit; where also ``delta = 0``
+    (degenerate bands) the amplitudes are NaN.
     """
     shape = np.broadcast_shapes(np.shape(g), np.shape(delta))
-    g, d = np.broadcast_arrays(np.atleast_1d(g), np.atleast_1d(delta))
-    # scale by 2**-e so that the larger of |g|, |delta| lies below 2**511 and
-    # g * g cannot overflow; e = 0 below that, and the scaling is exact
-    e = np.maximum(np.frexp(np.maximum(np.abs(g), np.abs(d)))[1] - 511, 0)
+    g, d = np.broadcast_arrays(np.atleast_1d(g), np.clip(np.atleast_1d(delta), *FINITE))
+    # scale by 2**-e so that the larger of |g|, |delta| lies in [2**-511, 2**511),
+    # where g * g can neither overflow nor lose bits as a subnormal; e = 0 there,
+    # and the scaling is exact
+    e = np.frexp(np.maximum(np.abs(g), np.abs(d)))[1]
+    e = e - np.clip(e, -510, 511)
     g, d = np.ldexp(g, -e), np.ldexp(d, -e)
     r = np.hypot(g, d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -19,7 +19,9 @@ Both read the ramp only through ``a = g0 t_q``, ``x = delta t_q`` and
 inverse powers of ``x`` up to ``x^-3`` and lose precision when the
 phase ``2 x tau`` that a sample has accumulated is small, so a Taylor
 branch in ``2 x tau`` takes over below ``|2 x tau| = 0.5``, sample by
-sample (both branches agree to ~1e-12 there).
+sample (both branches agree to ~1e-12 there).  Each branch is one
+function of ``(a, x, tau)`` that returns both integrals; the closed form
+takes ``phi``'s cosine and sine from the ``e^{2 i x tau}`` of ``theta``.
 No power of ``t_q`` is formed, so what can overflow is ``a * a``, past
 ``|a|`` of about 1.34e154, and the phase ``2 x`` itself.  One function,
 ``_magnus_arrays``, evaluates both integrals for every caller, scalar or
@@ -238,41 +240,28 @@ _PHI_COEFFS = [  # j = 2m + 1, the odd powers of sin's series
 ][::-1]
 
 
-# The four branch formulas below take floats or equal-shape arrays alike.  Each
-# reads the ramp only through a = g0 t_q, x = d t_q and tau = t / t_q.
-def _theta_closed(g0: float, d: float, t_q: float, t: float) -> complex:
-    a, x, tau = g0 * t_q, d * t_q, t / t_q
+# The two branch formulas below take floats or equal-shape arrays of the ramp
+# units a = g0 t_q, x = d t_q and tau = t / t_q alike, and return (theta_M, phi_M).
+def _closed(a, x, tau):
     e = np.exp(2j * x * tau)
-    return (a / (2.0 * x)) * (1j * (e - 1.0) - 2j * tau * e + (e - 1.0) / x)
-
-
-def _theta_series(g0: float, d: float, t_q: float, t: float) -> complex:
-    a, x, tau = g0 * t_q, d * t_q, t / t_q
-    z = 2j * x * tau
-    acc = 0.0
-    for c1, c2 in _THETA_COEFFS:  # the n = 0 term, 1 - 2 tau / 2, is exactly 0 at tau = 1
-        acc = acc * z + (c1 - 2.0 * tau * c2)
-    return -a * tau * acc
-
-
-def _phi_closed(g0: float, d: float, t_q: float, t: float) -> float:
-    a, x, tau = g0 * t_q, d * t_q, t / t_q
-    s = np.sin(2.0 * x * tau)
-    c = np.cos(2.0 * x * tau)
+    theta = (a / (2.0 * x)) * (1j * (e - 1.0) - 2j * tau * e + (e - 1.0) / x)
+    c, s = e.real, e.imag  # cos and sin of the phase 2 x tau
     xi = 1.0 - c + 2.0 * tau * c - s / x
     zeta = 0.5 * tau * tau - 2.0 * tau**3 / 3.0
     chi = tau - tau * tau - s / (2.0 * x) + tau * s / x + (c - 1.0) / (2.0 * x * x)
-    return (a * a) * (xi / (4.0 * x**3) - zeta / x + chi / (2.0 * x))
+    return theta, (a * a) * (xi / (4.0 * x**3) - zeta / x + chi / (2.0 * x))
 
 
-def _phi_series(g0: float, d: float, t_q: float, t: float) -> float:
-    a, x, tau = g0 * t_q, d * t_q, t / t_q
+def _series(a, x, tau):
+    z = 2j * x * tau
     y = 2.0 * x * tau
     w = -(y * y)
-    acc = 0.0
+    theta = phi = 0.0
+    for c1, c2 in _THETA_COEFFS:  # the n = 0 term, 1 - 2 tau / 2, is exactly 0 at tau = 1
+        theta = theta * z + (c1 - 2.0 * tau * c2)
     for p0, p1, p2 in _PHI_COEFFS:
-        acc = acc * w + (p0 + tau * (p1 + tau * p2))
-    return (a * a) * (y * tau * tau) * acc
+        phi = phi * w + (p0 + tau * (p1 + tau * p2))
+    return -a * tau * theta, (a * a) * (y * tau * tau) * phi
 
 
 def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
@@ -284,20 +273,16 @@ def _magnus_arrays(g0, delta_half, t_q, t) -> tuple[np.ndarray, np.ndarray]:
     The closed form's three term signs were calibrated once against the
     double-integral quadrature oracle and are frozen by regression test.
     """
-    args = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (g0, delta_half, t_q, t))
+    g0, d, t_q, t = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (g0, delta_half, t_q, t))
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        series = np.abs(2.0 * args[1] * args[3]) < MAGNUS_SERIES_CROSSOVER
+        series = np.abs(2.0 * d * t) < MAGNUS_SERIES_CROSSOVER
+        ramp = (g0 * t_q, d * t_q, t / t_q)
         theta = np.empty(series.shape, dtype=complex)
         phi = np.empty(series.shape)
-        for mask, theta_f, phi_f in (
-            (series, _theta_series, _phi_series),
-            (~series, _theta_closed, _phi_closed),
-        ):
-            part = [a[mask] for a in args]
-            theta[mask] = theta_f(*part)
-            phi[mask] = phi_f(*part)
+        for mask, branch in ((series, _series), (~series, _closed)):
+            theta[mask], phi[mask] = branch(*(v[mask] for v in ramp))
     return theta, phi
 
 

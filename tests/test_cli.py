@@ -1,5 +1,6 @@
 """End-to-end exercises of the omband command line."""
 
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import omband
 from omband import DriveParams, LatticeParams, cli, hybrid_basis, solve_meanfield
 from omband.bands import BAND_SCAN_COLUMNS, band_scan
 from omband.cli import _RUNNERS, ConfigError, main, parse_config, run_command
+from omband.model import FINITE, NONNEGATIVE, POSITIVE
 from omband.quench import BathParams, thermal_populations
 
 # the narrow-band parameter set, spelled as flags
@@ -552,8 +554,16 @@ def test_overflowing_band_energies_exit_2_before_output(argv, key, capsys, tmp_p
     assert not target.exists()
 
 
+FLOAT_MAX = "1.7976931348623157e308"
+# a half of Omega or xi itself overflows, so delta is +-inf
+HALF_OVERFLOWS = [
+    ("weights", "--omega_m", FLOAT_MAX, "--K", FLOAT_MAX, "--n_k", "4"),
+    ("weights", "--Delta", "-" + FLOAT_MAX, "--J", FLOAT_MAX, "--n_k", "4"),
+]
+
+
 @pytest.mark.parametrize("command", ["weights", "thermal"])
-@pytest.mark.parametrize("argv", [argv for argv, _ in BAND_OVERFLOWS])
+@pytest.mark.parametrize("argv", [*(argv for argv, _ in BAND_OVERFLOWS), *HALF_OVERFLOWS])
 def test_weight_tables_print_where_band_energies_overflow(command, argv, capsys):
     # these tables print no energies, so the rates are no fault of theirs
     with warnings.catch_warnings():
@@ -565,6 +575,34 @@ def test_weight_tables_print_where_band_energies_overflow(command, argv, capsys)
     assert len(body) == 4 and np.isfinite(values).all()
     if command == "weights":  # kd_over_pi, alpha_A, beta_A, alpha_B, beta_B
         np.testing.assert_allclose(values[:, [2, 4]], 1.0 - values[:, [1, 3]], atol=1e-15)
+
+
+SWEEP_VALUES = (0.0, *(s * v for v in (5e-324, 1.0, 1e300, float(FLOAT_MAX)) for s in (1, -1)))
+RATE_RANGES = {
+    "omega_m": POSITIVE, "Delta": FINITE, "J": NONNEGATIVE, "K": NONNEGATIVE, "g": FINITE
+}
+
+
+def test_weights_stay_in_the_unit_interval_for_every_pair_of_extreme_rates(capsys):
+    # every accepted value of SWEEP_VALUES for each of two rates, the others at their defaults
+    for keys in itertools.combinations(RATE_RANGES, 2):
+        accepted = [[v for v in SWEEP_VALUES if RATE_RANGES[k][0] <= v <= RATE_RANGES[k][1]]
+                    for k in keys]
+        for values in itertools.product(*accepted):
+            rates = dict(zip(keys, values))
+            argv = ["weights", "--n_k", "5"]
+            for k, v in rates.items():
+                argv += [f"--{k}", repr(v)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            weights = np.array(rows_of(out)[1], dtype=float)[:, 1:]
+            nan = np.isnan(weights).any(axis=1)  # a degenerate row: g = 0 and delta = 0
+            assert np.isnan(weights[nan]).all() and (rates.get("g") == 0.0 or not nan.any()), argv
+            ok = weights[~nan]
+            assert ((ok >= 0.0) & (ok <= 1.0)).all(), argv
+            np.testing.assert_allclose(ok[:, [1, 3]], 1.0 - ok[:, [0, 2]], atol=1e-15, err_msg=argv)
 
 
 GAMMA_MAX = ("--Gamma", "1.7976931348623157e308")

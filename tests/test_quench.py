@@ -45,10 +45,8 @@ from omband.model import coeff_arrays
 from omband.quench import (
     _SERIES_TERMS,
     QUENCH_COLUMNS,
-    _phi_closed,
-    _phi_series,
-    _theta_closed,
-    _theta_series,
+    _closed,
+    _series,
     propagator_array,
     quench_scan_array,
     quench_trace_array,
@@ -168,11 +166,9 @@ def test_branches_agree_at_the_crossover():
         for t_q in (0.3, 2.0, 17.0):
             d = u / (2.0 * t_q)
             t = 0.775 * t_q
-            ts = _theta_series(0.1, d, t_q, t)
-            tc = _theta_closed(0.1, d, t_q, t)
+            ts, ps = _series(0.1 * t_q, d * t_q, t / t_q)
+            tc, pc = _closed(0.1 * t_q, d * t_q, t / t_q)
             assert abs(ts - tc) <= 1e-11 * max(abs(ts), 1e-300)
-            ps = _phi_series(0.1, d, t_q, t)
-            pc = _phi_closed(0.1, d, t_q, t)
             assert abs(ps - pc) <= 1e-10 * max(abs(ps), 1e-300)
 
 
