@@ -22,8 +22,11 @@ plus ``write_table`` to CSV in ``os.devnull``.  ``gap_extrema`` is timed
 on the wide- and narrow-band sets.  ``emit`` is also timed on the largest
 ``zone-tables`` table (``gap`` at n_k = 32768, five phases) and on
 ``quench-trace`` at n_t = 4096, whose tiny populations fall outside the
-formatter's fast range.  The file write is ``write_table`` of that ``gap`` table into a
-fresh file, opened and closed as ``main`` does for ``--out``.
+formatter's fast range.  One formatter pass, ``fmt17._text`` on a
+4096-cell block of mixed sign and magnitude with a few cells outside the
+fast range, is timed to CSV and to JSON.  The file write is
+``write_table`` of that ``gap`` table into a fresh file, opened and
+closed as ``main`` does for ``--out``.
 ``parse_config`` is timed on the flags of a benchmark invocation.
 The oracle layers are ``_rk4_ramp`` at verify's own batch (the 256 gapped
 points of its four phases, 1024 steps), ``finite_lattice_spectrum`` at
@@ -58,6 +61,7 @@ import numpy as np
 import pytest
 
 import omband
+from omband import fmt17
 from omband.bands import band_scan, basis_arrays, gap_array, gap_extrema
 from omband.cli import emit, parse_config, run_command, write_table
 from omband.model import coeff_arrays
@@ -183,6 +187,15 @@ TRACE_FLAGS = {"n_t": "4096", **NARROW_FLAGS, "kd_over_pi": "0.1"}
 def test_emit_table(bench, command, flags, fmt):
     table = run_command(parse_config(None, flags), command)
     bench(emit, table, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_pass(bench, fmt):
+    rng = np.random.default_rng(21)
+    block = rng.choice([-1.0, 1.0], (512, 8)) * 10.0 ** rng.uniform(-5.05, 16.05, (512, 8))
+    block.flat[::97] = 0.0
+    block.flat[::211] = np.nan
+    bench(fmt17._text, block, fmt == "json", True)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -3,6 +3,7 @@
 
 import argparse
 import math
+from dataclasses import replace
 
 from omband import LatticeParams, gap_extrema
 
@@ -11,11 +12,7 @@ def report(label: str, base: LatticeParams, thetas) -> None:
     print(f"\n{label}: J={base.J}, K={base.K}, g={base.g}")
     print(f"{'theta/pi':>9}  {'kind':<8} {'kd/pi':>8}  {'gap':>10}")
     for theta in thetas:
-        p = LatticeParams(
-            omega_m=base.omega_m, Delta=base.Delta,
-            J=base.J, K=base.K, g=base.g, theta=theta,
-        )
-        for e in gap_extrema(p):
+        for e in gap_extrema(replace(base, theta=theta)):
             kd = "flat" if e.kd != e.kd else f"{e.kd / math.pi:8.4f}"
             print(f"{theta / math.pi:9.3f}  {e.kind or 'flat':<8} {kd:>8}  {e.value:10.6f}")
 

@@ -10,8 +10,9 @@ A cell with |x| in [1e-5, 1e16), or ±0, is written without a Python call:
   exponent of x and a comparison with the next power of ten.  A cell
   whose N still falls outside [1e16, 1e17) is redone once with s +- 1, so
   an estimate one off either way does no harm, and a product that rounds
-  up to 1e17 comes out as N = 1e16.  The digits of N come from a
-  100-entry table of digit pairs.
+  up to 1e17 comes out as N = 1e16.  The digits of N come four at a
+  time from a 10,000-entry table of 4-digit groups, its top digit from
+  the same table.
 * **Layout.**  Each cell is a fixed 48-byte slot: opening separator,
   sign, the "0.000" prefix, the 17 digits each followed by a point slot,
   the "e-05" suffix and two closing separators.  A template row per
@@ -71,7 +72,9 @@ def _template() -> np.ndarray:
     return np.frombuffer(unsigned + signed, np.uint8).reshape(-1, _SLOT)
 
 
-_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)  # "00" ... "99"
+_QUADS = np.stack(  # "0000" ... "9999" as 4-byte words, spelt in memory order
+    np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"), -1
+).view(np.uint32).ravel()
 _POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp split
 _POW10_LO = _POW10 - _POW10_HI
@@ -101,25 +104,13 @@ def _scaled(a: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _digits(n: np.ndarray) -> np.ndarray:
-    """The 17 digits of each n < 1e17 as ASCII, one row per n (18 bytes,
-    a leading "0" first)."""
-    out = np.empty((len(n), 9), np.uint16)
-    top = n // 10**16
-    out[:, 0] = _PAIRS.take(top)
-    rest = n - top * 10**16
-    del top
-    hi = rest // 10**8
-    rest -= hi * 10**8
-    # each remainder in place of its dividend, so that few temporaries live at once
-    for col, half in ((1, hi), (5, rest)):
-        upper = half // 10**4
-        half -= upper * 10**4
-        for c, quad in ((col, upper), (col + 2, half)):
-            pair = quad // 100
-            out[:, c] = _PAIRS.take(pair)
-            quad -= pair * 100
-            out[:, c + 1] = _PAIRS.take(quad)
-    return out.view(np.uint8)
+    """The 17 digits of each n < 1e17 as ASCII, one row of 17 bytes per n."""
+    out = np.empty((len(n), 5), np.uint32)  # "000" and the top digit, then four groups
+    for col in range(4, 0, -1):
+        n, quad = np.divmod(n, 10**4)
+        out[:, col] = _QUADS.take(quad)
+    out[:, 0] = _QUADS.take(n)
+    return out.view(np.uint8)[:, 3:]
 
 
 def _layout(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +129,7 @@ def _layout(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if redo.size:
         n[redo] = _scaled(a[redo], s[redo])
     n[zero] = 0
-    d = _digits(n)[:, 1:]
+    d = _digits(n)
     k = 17 - np.argmax(d[:, ::-1] != ord("0"), axis=1)  # significant digits
     x = 16 - s  # decimal exponent
     x[zero], k[zero] = 0, 1

@@ -792,6 +792,35 @@ def test_verify_at_extreme_scales_writes_no_warning(key, capsys):
     assert [r[0] for r in body if r[3] == "0"] == ["lattice_vs_bloch"]
 
 
+FLOAT_MAX = "1.7976931348623157e308"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--lattice_N", "2", "--J", FLOAT_MAX],
+        ["bands", "--n_k", "5", "--verify", "true", "--lattice_N", "2", "--J", FLOAT_MAX],
+        ["verify", "--J", FLOAT_MAX],
+        ["verify", "--K", FLOAT_MAX],
+        ["verify", "--g", FLOAT_MAX],
+        ["verify", "--g", "-" + FLOAT_MAX],
+    ],
+    ids=["ring-J", "bands-verify-ring-J", "J", "K", "g", "minus-g"],
+)
+def test_verify_at_the_float_maximum_fails_a_check(argv, capsys):
+    """An infinite ring entry or an overflowing ramp fails a check: exit 1
+    with no traceback and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--rk4_steps", "16")
+    assert code == 1
+    if argv[0] == "verify":
+        _, body = rows_of(out)
+        assert err == "" and "lattice_vs_bloch" in [r[0] for r in body if r[3] == "0"]
+    else:
+        assert out == "" and err.startswith("omband: verify failed: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [

@@ -141,6 +141,14 @@ def test_exponent_one_off_is_corrected(monkeypatch):
     _assert_matches(np.concatenate((10.0 ** rng.uniform(-5.0, 16.0, 20000), _ties(3, 500, rng))))
 
 
+def test_every_digit_group():
+    """Each 4-digit group in each of the four low positions, each top digit
+    1 to 9, and 0, against ``b"%017d"``."""
+    q = np.arange(10**4, dtype=np.int64)
+    n = np.append(10**16 * (1 + q % 9) + q * (10**12 + 10**8 + 10**4 + 1), 0)
+    assert fmt17._digits(n).tobytes() == b"".join(b"%017d" % i for i in n.tolist())
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
 def test_blocks_concatenate_to_the_table(block_rows):
     rows = np.arange(21.0).reshape(7, 3) - 10.5
